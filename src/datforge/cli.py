@@ -153,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the manifest's stages and write reports")
     add_manifest_args(p_run)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the gradient-reversal weight sweep")

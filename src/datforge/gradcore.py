@@ -206,21 +206,18 @@ class Tape:
 
     def mean_pool_segments(self, x: Node, lengths) -> Node:
         """Concatenated frame matrix (sum(lengths) x D) -> per-segment means (B x D)."""
-        lengths = [int(t) for t in lengths]
-        if x.value.ndim != 2 or sum(lengths) != x.value.shape[0]:
+        lens = np.asarray(lengths, dtype=np.int64)
+        if x.value.ndim != 2 or lens.sum() != x.value.shape[0]:
             raise DimensionError(
-                f"mean_pool_segments: frames {x.value.shape} vs lengths sum {sum(lengths)}"
+                f"mean_pool_segments: frames {x.value.shape} vs lengths sum {lens.sum()}"
             )
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        out = np.stack(
-            [x.value[offsets[i] : offsets[i + 1]].mean(axis=0) for i in range(len(lengths))]
-        )
+        if lens.size == 0 or lens.min() < 1:
+            raise DimensionError(f"mean_pool_segments: segment lengths must be >= 1, got {lengths}")
+        starts = np.concatenate([[0], np.cumsum(lens[:-1])])
+        out = np.add.reduceat(x.value, starts, axis=0) / lens[:, None]
 
         def backward(g):
-            gx = np.empty_like(x.value)
-            for i, t in enumerate(lengths):
-                gx[offsets[i] : offsets[i + 1]] = g[i] / t
-            return (gx,)
+            return (np.repeat(g / lens[:, None], lens, axis=0),)
 
         return self._record(out, (x,), backward)
 

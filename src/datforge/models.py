@@ -61,12 +61,19 @@ class FeatureExtractor:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
     def forward(self, tape: Tape, x: Node) -> Node:
+        return self.project(tape, self.hidden(tape, x))
+
+    def hidden(self, tape: Tape, x: Node) -> Node:
+        """The two relu layers: per-frame hidden activations."""
         if x.value.ndim != 2 or x.value.shape[1] != self.cfg.input_dim:
             raise ConfigError(
                 f"extractor expects frames of dim {self.cfg.input_dim}, got {x.value.shape}"
             )
         h = tape.relu(tape.linear(x, tape.param(self.w1), tape.param(self.b1)))
-        h = tape.relu(tape.linear(h, tape.param(self.w2), tape.param(self.b2)))
+        return tape.relu(tape.linear(h, tape.param(self.w2), tape.param(self.b2)))
+
+    def project(self, tape: Tape, h: Node) -> Node:
+        """The last, affine layer: hidden activations to features, row by row."""
         return tape.linear(h, tape.param(self.w3), tape.param(self.b3))
 
     def extract_features(self, frames: np.ndarray) -> np.ndarray:
@@ -148,10 +155,15 @@ class DannModel:
         return [p for p in self.parameters() if p.group == name]
 
     def forward_pooled_features(self, tape: Tape, feats: list[np.ndarray]) -> Node:
-        """Run the extractor over a batch of T_i x F examples; return B x D pooled features."""
+        """Run the extractor over a batch of T_i x F examples; return B x D pooled features.
+
+        Pools before the extractor's last layer: it is affine, so
+        mean(h) W + b == mean(h W + b), and it runs on B rows, not sum(T_i).
+        """
         stacked = tape.const(np.concatenate(feats, axis=0))
-        h = self.extractor.forward(tape, stacked)
-        return tape.mean_pool_segments(h, [f.shape[0] for f in feats])
+        h = self.extractor.hidden(tape, stacked)
+        pooled = tape.mean_pool_segments(h, [f.shape[0] for f in feats])
+        return self.extractor.project(tape, pooled)
 
     def predict_logits(self, feats: list[np.ndarray]) -> np.ndarray:
         tape = Tape()
@@ -164,6 +176,7 @@ class DannModel:
         save_checkpoint(path, self.parameters())
 
     def load(self, path):
+        """Overwrite every parameter from ``path``; the file must name exactly this model's."""
         entries = load_checkpoint(path)
         by_name = {p.name: p for p in self.parameters()}
         for name, group, value in entries:
@@ -175,7 +188,11 @@ class DannModel:
                     f"checkpoint mismatch for {name!r}: "
                     f"{group}/{value.shape} vs {p.group}/{p.value.shape}"
                 )
-            p.value[...] = value
+        missing = sorted(by_name.keys() - {name for name, _group, _value in entries})
+        if missing:
+            raise FormatError(f"checkpoint {path} lacks parameters {missing}")
+        for name, _group, value in entries:
+            by_name[name].value[...] = value
 
 
 def save_checkpoint(path, params: list[Parameter]):

@@ -35,7 +35,6 @@ from .trainer import (
     STAGES,
     StageResult,
     TrainConfig,
-    lambda_sweep,
     run_stage,
     write_training_log,
 )

@@ -10,13 +10,14 @@ domain loss, and the extractor descends task_loss - lambda * domain_loss.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import objectives
 from .distort import ContinualClip, CorpusSplit, LabeledClip, TargetClip, derive_seed, featurize
-from .errors import ConfigError
+from .errors import ConfigError, DatforgeError
 from .gradcore import (
     DOMAIN_CLASSIFIER,
     FEATURE_EXTRACTOR,
@@ -100,6 +101,15 @@ def write_training_log(path, rows: list[LogRow]):
                 "" if r.grl_lambda is None else f"{r.grl_lambda:g}",
                 r.objective or "", r.seed,
             ])
+
+
+def _check_finite(stage: str, epoch: int, step: int, **losses: float):
+    """Stop training at the first NaN or infinite loss instead of training on it."""
+    for name, value in losses.items():
+        if not math.isfinite(value):
+            raise DatforgeError(
+                f"stage {stage!r}: non-finite {name} ({value}) at epoch {epoch}, step {step}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +212,10 @@ def train_supervised(data: list[LabeledClip], model: DannModel, cfg: TrainConfig
             loss = objectives.task_loss(
                 tape, model.label_head.forward_pooled(tape, pooled), labels[batch]
             )
+            losses.append(float(loss.value))
+            _check_finite(stage, epoch, step, L_y=losses[-1])
             tape.backward(loss)
             opt.step()
-            losses.append(float(loss.value))
             step += 1
         rows.append(LogRow(stage, epoch, step, float(np.mean(losses)), None, None, None, cfg.seed))
     return rows
@@ -253,9 +264,10 @@ def continual_pretrain(model: DannModel, continual_set: list[ContinualClip],
             pred = tape.linear(h, tape.param(dec_w), tape.param(dec_b))
             diff = tape.sub(pred, tape.const(target))
             loss = tape.mean(tape.mul(diff, diff))
+            losses.append(float(loss.value))
+            _check_finite(stage, epoch, step, L_continual=losses[-1])
             tape.backward(loss)
             opt.step()
-            losses.append(float(loss.value))
             step += 1
         rows.append(LogRow(stage, epoch, step, float(np.mean(losses)), None, None, None, cfg.seed))
     return rows
@@ -293,6 +305,7 @@ def train_dat(splits: CorpusSplit, model: DannModel, cfg: TrainConfig,
             nb = rng.choice(len(splits.T), size=min(cfg.batch_size, len(splits.T)), replace=False)
             ly, ld = dat_step(model, [s_feats[i] for i in cb], s_labels[cb],
                               [t_feats[i] for i in nb], t_domains[nb], cfg, opt)
+            _check_finite(stage, epoch, step, L_y=ly, L_d=ld)
             ly_all.append(ly)
             ld_all.append(ld)
             step += 1

@@ -113,6 +113,16 @@ class TestRunCommand:
         assert (out / "report.csv").is_file()
 
 
+    def test_non_finite_loss_exit_code(self, manifest_path, monkeypatch, capsys):
+        from datforge import trainer
+
+        real = trainer.featurize
+        monkeypatch.setattr(trainer, "featurize", lambda w: np.full_like(real(w), np.nan))
+        assert main(["run", "--manifest", str(manifest_path)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "stage 'baseline': non-finite L_y (nan) at epoch 0, step 0" in err
+
+
 class TestDeterminism:
     def test_report_csv_byte_identical_across_runs(self, tmp_path):
         manifest = ExperimentManifest.from_dict(dict(TINY_MANIFEST))

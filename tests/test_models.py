@@ -10,6 +10,7 @@ from datforge.models import (
     LabelPredictor,
     ModelConfig,
     load_checkpoint,
+    save_checkpoint,
 )
 
 
@@ -161,6 +162,20 @@ class TestCheckpoint:
         )
         with pytest.raises((FormatError, ConfigError)):
             other.load(path)
+
+    def test_partial_checkpoint_rejected(self, cfg, tmp_path):
+        source = DannModel(cfg, seed=7)
+        path = tmp_path / "partial.ckpt"
+        save_checkpoint(path, source.parameters()[:1])
+        model = DannModel(cfg, seed=99)
+        before = [p.value.copy() for p in model.parameters()]
+        with pytest.raises(FormatError, match="lacks parameters") as exc:
+            model.load(path)
+        missing = [p.name for p in model.parameters()[1:]]
+        assert len(missing) == 9 and all(name in str(exc.value) for name in missing)
+        assert "f.l1.W'" not in str(exc.value)
+        for p, value in zip(model.parameters(), before):
+            assert np.array_equal(p.value, value), p.name
 
 
 def test_init_scale_tracks_fan_in():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from datforge.distort import build_continual_set, featurize
-from datforge.errors import ConfigError, PolicyError
+from datforge import trainer
+from datforge.errors import ConfigError, DatforgeError, PolicyError
 from datforge.gradcore import Optimizer, Tape
 from datforge.models import DannModel, ModelConfig
 from datforge.objectives import task_loss
@@ -224,6 +225,25 @@ class TestSupervisedAndStages:
         assert result.continual_checkpoint is not None
         clone = DannModel(SMALL_MODEL, seed=0)
         clone.load(result.continual_checkpoint)
+
+
+
+@pytest.fixture()
+def nan_features(monkeypatch):
+    real = trainer.featurize
+    monkeypatch.setattr(trainer, "featurize", lambda w: np.full_like(real(w), np.nan))
+
+
+class TestNonFiniteLoss:
+    @pytest.mark.parametrize("stage, loss", [("baseline", "L_y"), ("dat_only", "L_y"),
+                                             ("continual_only", "L_continual")])
+    def test_nan_features_stop_training(self, nan_features, small_corpus, small_splits,
+                                        stage, loss):
+        cont = build_continual_set([c.waveform for c in small_corpus[:8]], seed=2)
+        with pytest.raises(DatforgeError) as exc:
+            run_stage(stage, small_splits, small_cfg(), continual_set=cont, model_cfg=SMALL_MODEL)
+        assert not isinstance(exc.value, ConfigError)  # a runtime failure, not a bad setting
+        assert str(exc.value) == f"stage {stage!r}: non-finite {loss} (nan) at epoch 0, step 0"
 
 
 class TestContinualPretraining:
