@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the gradient-reversal weight sweep")
     add_manifest_args(p_sweep)
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel sweep cells (sweep only)")
+                         help="most sweep cells trained at once, each in a forked worker "
+                              "with one BLAS thread (capped at the usable CPUs)")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_probe = sub.add_parser("probe", help="measure residual domain info in frozen features")

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
+import multiprocessing
+import os
 import shutil
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -192,14 +197,119 @@ def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
     return ExperimentData(splits, continual)
 
 
+# ---------------------------------------------------------------------------
+# parallel map
+# ---------------------------------------------------------------------------
+
+def usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def blas_function(name: str, restype, argtypes):
+    """OpenBLAS's ``openblas_<name>`` from the library numpy loaded, through ctypes; None if absent."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
+                    f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, argtypes
+                return fn
+    return None
+
+
+_worker_job = None  # (fn, items), set once in each pool worker by _start_worker
+
+
+def _start_worker(set_blas_threads, fn, items):
+    global _worker_job
+    set_blas_threads(1)
+    _worker_job = (fn, items)
+
+
+def _run_item(i: int):
+    fn, items = _worker_job
+    return fn(items[i])
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS at one thread inside the block and restore the count after.
+
+    Yields the thread setter, or None (and changes nothing) when OpenBLAS's
+    getter or setter is not found.
+    """
+    get = blas_function("get_num_threads", ctypes.c_int, [])
+    set_threads = blas_function("set_num_threads", None, [ctypes.c_int])
+    if get is None or set_threads is None:
+        yield None
+        return
+    before = get()
+    set_threads(1)
+    try:
+        yield set_threads
+    finally:
+        set_threads(before)
+
+
+def parallel_map(fn, items, jobs: int) -> list:
+    """``[fn(x) for x in items]`` in up to ``jobs`` forked workers, one BLAS thread each.
+
+    The workers are ``min(jobs, len(items), usable_cpus())``.  ``fn`` and
+    ``items`` reach them through fork, so neither needs to pickle; only the
+    results do.  Results come back in item order.  The exception of the first
+    failing item (in item order, as a serial loop would meet it) is re-raised
+    with its type and message, after cancelling the items not yet started.
+
+    The map runs in this process when it has one worker, when the platform
+    has no ``fork``, when no OpenBLAS thread setter is found (so workers could
+    not be kept from oversubscribing the CPUs), or when other Python threads
+    are running (forking them is unsafe).  In-process items also run with one
+    BLAS thread, so results do not depend on the worker count.
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    items = list(items)
+    workers = min(jobs, len(items), usable_cpus())
+    with one_blas_thread() as set_threads:
+        if (workers < 2 or set_threads is None
+                or "fork" not in multiprocessing.get_all_start_methods()
+                or threading.active_count() > 1):
+            return [fn(x) for x in items]
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_start_worker,
+                                 initargs=(set_threads, fn, items)) as pool:
+            futures = [pool.submit(_run_item, i) for i in range(len(items))]
+            try:
+                return [f.result() for f in futures]
+            except BaseException:
+                for f in futures:
+                    f.cancel()
+                raise
+
+
 def run_stages(manifest: ExperimentManifest, data: ExperimentData,
                checkpoint_dir=None) -> list[StageResult]:
-    results = []
-    for spec in manifest.stages:
-        results.append(run_stage(spec.stage, data.splits, spec.config,
-                                 continual_set=data.continual_set or None,
-                                 checkpoint_dir=checkpoint_dir))
-    return results
+    """Train every stage of the manifest, one per usable CPU; results do not depend on the count.
+
+    A wrapper put around ``run_stage`` (a tracer's or profiler's) keeps its
+    record in this process, and a forked worker would add to a copy that is
+    lost, so wrapped stages train here.
+    """
+    jobs = 1 if hasattr(run_stage, "__wrapped__") else usable_cpus()
+    return parallel_map(
+        lambda spec: run_stage(spec.stage, data.splits, spec.config,
+                               continual_set=data.continual_set or None,
+                               checkpoint_dir=checkpoint_dir),
+        manifest.stages, jobs)
 
 
 def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport:
@@ -221,14 +331,14 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
     for res in results:
         res.model.save(out_dir / f"{res.stage}.ckpt")
 
+    payload = _manifest_payload(manifest)
+    # where a run is written is not part of what it computes
     meta = {"seed": manifest.seed, "splits_seed": manifest.splits_seed,
-            "config_hash": config_hash(_manifest_payload(manifest))}
+            "config_hash": config_hash({k: v for k, v in payload.items() if k != "output_dir"})}
     report = build_report(results, data.splits, meta)
     write_report_csv(out_dir / "report.csv", report)
     write_report_json(out_dir / "report.json", report)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(_manifest_payload(manifest), indent=2, sort_keys=True) + "\n"
-    )
+    (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     marker.unlink()
     return report
 
@@ -259,26 +369,29 @@ def _sweep_cell(args):
 
 
 def run_sweep(manifest: ExperimentManifest, out_dir: Path, jobs: int = 1) -> list[dict]:
+    """Train the sweep's stage once per lambda, from the manifest's entry for that stage.
+
+    Cells run through ``parallel_map``; ``_sweep_cell`` is looked up when the
+    sweep starts, so a wrapper installed around it runs in the workers.
+    """
     if manifest.sweep is None:
         raise ConfigError("manifest has no 'sweep' section")
     sweep = manifest.sweep
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = TrainConfig(seed=manifest.seed, objective=sweep.objective,
-                      domain_setting="binary" if sweep.objective == "bce" else "multi")
-    needs_continual = sweep.stage in CONTINUAL_STAGES
-    data = build_experiment_data(manifest.corpus, manifest.splits_seed, needs_continual)
+    entry = next((s for s in manifest.stages if s.stage == sweep.stage), None)
+    if entry is None:
+        raise ConfigError(f"sweep stage {sweep.stage!r} has no entry in the manifest's stages")
     lams = sorted(sweep.lambdas, reverse=True)
     if any(l <= 0 for l in lams):
         raise ConfigError(f"sweep lambdas must be > 0, got {lams}")
+    cfg = replace(entry.config, objective=sweep.objective,
+                  domain_setting="binary" if sweep.objective == "bce" else "multi")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    needs_continual = sweep.stage in CONTINUAL_STAGES
+    data = build_experiment_data(manifest.corpus, manifest.splits_seed, needs_continual)
     cells = [(data.splits, cfg, lam, sweep.stage, data.continual_set) for lam in lams]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cell_results = list(pool.map(_sweep_cell, cells))
-    else:
-        cell_results = [_sweep_cell(c) for c in cells]
     rows = []
-    for lam, (clean, seen, unseen) in cell_results:
+    for lam, (clean, seen, unseen) in parallel_map(_sweep_cell, cells, jobs):
         rows.append({"lambda": lam, "reported": lam in REPORTED_LAMBDAS,
                      "clean_acc": clean, "seen_acc": seen, "unseen_acc": unseen})
     _write_sweep_csv(out_dir / "sweep_report.csv", rows)

@@ -35,6 +35,7 @@ from datforge.pipeline import (
     ExperimentManifest,
     build_experiment_data,
     run_experiment,
+    run_stages,
     run_sweep,
     standard_manifest,
 )
@@ -45,7 +46,6 @@ from datforge.trainer import (
     dat_step,
     domain_indices,
     features_of,
-    run_stage,
 )
 
 SEEDS = (1, 2, 3)
@@ -280,10 +280,7 @@ def standard_results():
     for seed in SEEDS:
         manifest = standard_manifest(seed)
         data = build_experiment_data(manifest.corpus, manifest.splits_seed)
-        results = {}
-        for spec in manifest.stages:
-            results[spec.stage] = run_stage(spec.stage, data.splits, spec.config,
-                                            continual_set=data.continual_set)
+        results = {r.stage: r for r in run_stages(manifest, data)}
         report = build_report(list(results.values()), data.splits)
         rows = {r.stage: r for r in report.rows}
         probes = {stage: domain_probe(results[stage].model, data.splits).probe_acc

@@ -132,6 +132,16 @@ class TestDeterminism:
         assert (tmp_path / "a/training_log.csv").read_bytes() == \
             (tmp_path / "b/training_log.csv").read_bytes()
 
+    def test_config_hash_leaves_out_output_dir(self, tmp_path):
+        hashes = []
+        for name in ("a", "b"):
+            manifest = ExperimentManifest.from_dict(dict(TINY_MANIFEST, output_dir=name))
+            run_experiment(manifest, tmp_path / name)
+            assert json.loads((tmp_path / name / "manifest.json").read_text())["output_dir"] == name
+            hashes.append(json.loads((tmp_path / name / "report.json").read_text())
+                          ["metadata"]["config_hash"])
+        assert hashes[0] == hashes[1]
+
 
 class TestSweepCommand:
     def test_sweep_csv_and_reported_flags(self, manifest_path, tmp_path, capsys):
@@ -155,6 +165,33 @@ class TestSweepCommand:
         serial = run_sweep(manifest, tmp_path / "s", jobs=1)
         parallel = run_sweep(manifest, tmp_path / "p", jobs=2)
         assert serial == parallel
+        assert (tmp_path / "s" / "sweep_report.csv").read_bytes() == \
+            (tmp_path / "p" / "sweep_report.csv").read_bytes()
+
+    def test_sweep_trains_with_the_stage_entry_settings(self, tmp_path, monkeypatch):
+        from datforge import pipeline
+
+        seen = []
+        real = pipeline.run_stage
+
+        def recording(stage, splits, cfg, *args, **kwargs):
+            seen.append((stage, cfg.epochs, cfg.batch_size, cfg.grl_lambda))
+            return real(stage, splits, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_stage", recording)
+        run_sweep(ExperimentManifest.from_dict(dict(TINY_MANIFEST)), tmp_path, jobs=1)
+        # the manifest's dat_only entry: 1 epoch of batch 4, not TrainConfig's 80 epochs
+        assert seen == [("dat_only", 1, 4, 1e-1), ("dat_only", 1, 4, 1e-2)]
+
+    def test_sweep_stage_without_entry_is_config_error(self, tmp_path):
+        payload = dict(TINY_MANIFEST, output_dir=str(tmp_path / "out"),
+                       sweep={"lambdas": [1e-2], "stage": "continual_plus_dat"})
+        with pytest.raises(ConfigError, match="continual_plus_dat"):
+            run_sweep(ExperimentManifest.from_dict(payload), tmp_path / "out")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert main(["sweep", "--manifest", str(path)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
 
 class TestProbeCommand:

@@ -5,15 +5,36 @@ functions, kept here so a later change to a fast path is still compared
 with the plain computation.
 """
 
+import ctypes
+import functools
+import json
+import multiprocessing
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datforge import pipeline
+from datforge.cli import EXIT_RUNTIME, main
 from datforge.distort import DIRECT_CONV_MAX_TAPS, Waveform, apply_reverb, make_impulse_response
+from datforge.errors import ConfigError, DatforgeError
 from datforge.gradcore import Parameter, Tape
-from datforge.models import DannModel, ModelConfig
+from datforge.models import DannModel, ModelConfig, load_checkpoint
 from datforge.objectives import task_loss
+from datforge.pipeline import (
+    ExperimentManifest,
+    blas_function,
+    build_experiment_data,
+    parallel_map,
+    run_experiment,
+    run_stages,
+    usable_cpus,
+)
+from test_cli import TINY_MANIFEST
 
 
 def reference_reverb(samples: np.ndarray, ir: np.ndarray) -> np.ndarray:
@@ -141,3 +162,116 @@ def test_pooled_features_match_per_frame_path(seed):
         scale = np.max(np.abs(g))
         np.testing.assert_allclose(fast_grads[name], g, rtol=1e-12, atol=1e-12 * scale,
                                    err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# parallel_map: forked workers with one BLAS thread vs the serial loop
+# ---------------------------------------------------------------------------
+
+blas_threads = blas_function("get_num_threads", ctypes.c_int, [])
+forks = pytest.mark.skipif(
+    usable_cpus() < 2 or blas_threads is None
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="parallel_map runs in-process on this machine")
+
+# TINY_MANIFEST plus a stage that writes a continual checkpoint from its worker
+THREE_STAGES = dict(TINY_MANIFEST, stages=TINY_MANIFEST["stages"] + [
+    {"stage": "continual_plus_dat", "epochs": 1, "continual_epochs": 1, "batch_size": 4}])
+
+
+@forks
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_parallel_map_runs_every_item_with_one_blas_thread(jobs):
+    before = blas_threads()
+    # a lambda cannot pickle: fn reaches the workers through fork
+    out = parallel_map(lambda x: (x * x, os.getpid(), blas_threads()), range(5), jobs)
+    assert [v for v, _pid, _t in out] == [0, 1, 4, 9, 16]
+    assert {t for _v, _pid, t in out} == {1}
+    in_parent = [pid == os.getpid() for _v, pid, _t in out]
+    assert all(in_parent) if jobs == 1 else not any(in_parent)
+    assert blas_threads() == before
+
+
+def _fail_late_at_zero(x):
+    if x == 0:
+        time.sleep(0.5)  # item 1 fails first in time; item 0 is first in item order
+    raise DatforgeError(f"item {x} failed")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_parallel_map_raises_the_first_failing_item(jobs):
+    with pytest.raises(DatforgeError, match=r"^item 0 failed$"):
+        parallel_map(_fail_late_at_zero, range(3), jobs)
+
+
+def test_parallel_map_rejects_fewer_than_one_job():
+    with pytest.raises(ConfigError, match="jobs"):
+        parallel_map(abs, [1], 0)
+
+
+def test_parallel_map_stays_in_process_while_other_threads_run():
+    stop = threading.Event()
+    t = threading.Thread(target=stop.wait)
+    t.start()
+    try:
+        pids = parallel_map(lambda _x: os.getpid(), range(3), jobs=2)
+    finally:
+        stop.set()
+        t.join(timeout=10)
+    assert not t.is_alive()
+    assert pids == [os.getpid()] * 3
+
+
+def test_wrapped_run_stage_trains_in_process(monkeypatch):
+    manifest = ExperimentManifest.from_dict(dict(THREE_STAGES))
+    data = build_experiment_data(manifest.corpus, manifest.splits_seed)
+    calls = []
+
+    @functools.wraps(pipeline.run_stage)
+    def recording(stage, *args, **kwargs):
+        calls.append((stage, os.getpid()))
+        return recording.__wrapped__(stage, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_stage", recording)
+    results = run_stages(manifest, data)
+    assert [r.stage for r in results] == ["baseline", "dat_only", "continual_plus_dat"]
+    assert calls == [(r.stage, os.getpid()) for r in results]
+
+
+def _checkpoints(out):
+    return {p.name: load_checkpoint(p) for p in sorted(out.glob("*.ckpt"))}
+
+
+@forks
+def test_stages_in_workers_match_serial_run(tmp_path, monkeypatch):
+    manifest = ExperimentManifest.from_dict(dict(THREE_STAGES))
+    for jobs in (1, 2):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda jobs=jobs: jobs)
+        run_experiment(manifest, tmp_path / f"jobs{jobs}")
+    serial, forked = tmp_path / "jobs1", tmp_path / "jobs2"
+    for name in ("report.csv", "training_log.csv"):
+        assert (serial / name).read_bytes() == (forked / name).read_bytes(), name
+    a, b = _checkpoints(serial), _checkpoints(forked)
+    assert sorted(a) == sorted(b) == ["baseline.ckpt", "continual_plus_dat.ckpt",
+                                      "continual_plus_dat_continual.ckpt", "dat_only.ckpt"]
+    for name in a:
+        assert [(n, g) for n, g, _v in a[name]] == [(n, g) for n, g, _v in b[name]]
+        for (n, _g, va), (_n, _g2, vb) in zip(a[name], b[name]):
+            assert np.array_equal(va, vb), (name, n)
+
+
+@forks
+def test_worker_error_reaches_the_cli_unchanged(tmp_path, monkeypatch, capsys):
+    from datforge import trainer
+
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(dict(TINY_MANIFEST, output_dir=str(tmp_path / "o"))))
+    real = trainer.featurize
+    monkeypatch.setattr(trainer, "featurize", lambda w: np.full_like(real(w), np.nan))
+    errors = []
+    for jobs in (1, 2):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda jobs=jobs: jobs)
+        assert main(["run", "--manifest", str(path)]) == EXIT_RUNTIME
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "stage 'baseline': non-finite L_y (nan) at epoch 0, step 0" in errors[1]
