@@ -19,8 +19,7 @@ from .distort import (
     REVERB,
     TRAIN_KINDS,
     TRAIN_PROPORTIONS,
-    TRAIN_T60S,
-    DistortionSpec,
+    _make_spec,
     apply_spec,
     derive_seed,
     largest_remainder_counts,
@@ -47,25 +46,23 @@ def _resolve_out(manifest: ExperimentManifest) -> Path:
 
 def _load_manifest(args) -> ExperimentManifest:
     manifest = ExperimentManifest.from_file(args.manifest)
-    if getattr(args, "seed", None) is not None:
-        manifest.seed = args.seed
-        manifest.stages = [
-            dataclasses.replace(s, config=dataclasses.replace(s.config, seed=args.seed))
-            for s in manifest.stages
-        ]
-    return manifest
+    return manifest if args.seed is None else manifest.with_seed(args.seed)
+
+
+def _print_plan(args, manifest: ExperimentManifest, out_dir: Path):
+    print(f"manifest: {args.manifest}")
+    print(f"output_dir: {out_dir}")
+    print(f"corpus: {vars(manifest.corpus)}")
+    for spec in manifest.stages:
+        print(f"stage: {spec.stage} seed={spec.config.seed} "
+              f"objective={spec.config.objective} lambda={spec.config.grl_lambda:g}")
 
 
 def _cmd_run(args) -> int:
     manifest = _load_manifest(args)
     out_dir = _resolve_out(manifest)
     if args.dry_run:
-        print(f"manifest: {args.manifest}")
-        print(f"output_dir: {out_dir}")
-        print(f"corpus: {vars(manifest.corpus)}")
-        for spec in manifest.stages:
-            print(f"stage: {spec.stage} seed={spec.config.seed} "
-                  f"objective={spec.config.objective} lambda={spec.config.grl_lambda:g}")
+        _print_plan(args, manifest, out_dir)
         return EXIT_OK
     report = run_experiment(manifest, out_dir)
     print(f"wrote {out_dir / 'report.csv'} ({len(report.rows)} rows)")
@@ -93,6 +90,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_probe(args) -> int:
     manifest = _load_manifest(args)
     out_dir = _resolve_out(manifest)
+    if args.dry_run:
+        _print_plan(args, manifest, out_dir)
+        return EXIT_OK
     rows = run_probe(manifest, out_dir)
     for r in rows:
         print(f"{r['stage']}: probe_acc={r['probe_acc']:.3f} chance={r['chance_level']:.3f}")
@@ -120,12 +120,11 @@ def _cmd_distort(args) -> int:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
         child = derive_seed(args.seed, i)
-        rng = np.random.default_rng(child)
+        spec = _make_spec(kind, child, np.random.default_rng(child), "train")
         if kind in (ADDITIVE_BANK, GAUSSIAN):
-            spec = DistortionSpec(kind, child, snr_db=args.snr)
-        else:
-            t60 = args.t60 if args.t60 is not None else float(TRAIN_T60S[int(rng.integers(len(TRAIN_T60S)))])
-            spec = DistortionSpec(REVERB, child, ir_id=t60)
+            spec = dataclasses.replace(spec, snr_db=args.snr)
+        elif args.t60 is not None:
+            spec = dataclasses.replace(spec, ir_id=args.t60)
         distorted = apply_spec(clean, spec)
         write_wav(out_dir / path.name, distorted)
         entries.append({"id": path.stem, "path": str(out_dir / path.name),

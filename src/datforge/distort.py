@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, PolicyError
+from .errors import ConfigError, FormatError, PolicyError
 
 DEFAULT_SR = 16000
 
@@ -256,22 +256,27 @@ class WavNoiseBank:
     def __init__(self, noise_dir):
         paths = sorted(Path(noise_dir).glob("*.wav"))
         if not paths:
-            raise ValueError(f"no WAV files in noise directory {noise_dir}")
-        self.pools = {"train": [], "unseen": []}
+            raise ConfigError(f"no WAV files in noise directory {noise_dir}")
+        self.pools = {"train": [], "unseen": []}  # pool -> [(file name, samples)]
         for p in paths:
+            try:
+                samples = read_wav(p).samples  # 16 kHz, mono, 16-bit
+            except FormatError as exc:
+                raise ConfigError(f"noise WAV unusable: {exc}") from exc
+            if not np.any(samples):
+                raise ConfigError(f"noise WAV {p} is silent (all samples zero)")
             digest = hashlib.sha256(p.name.encode()).digest()
-            self.pools["train" if digest[0] % 2 == 0 else "unseen"].append(p)
-        for pool, files in self.pools.items():
-            if not files:
-                raise ValueError(f"noise directory leaves the {pool!r} pool empty")
+            self.pools["train" if digest[0] % 2 == 0 else "unseen"].append((p.name, samples))
+        for pool, clips in self.pools.items():
+            if not clips:
+                raise ConfigError(f"noise directory leaves the {pool!r} pool empty")
 
     def draw(self, pool: str, n: int, sr: int, seed: int) -> tuple[np.ndarray, str]:
         rng = np.random.default_rng(seed)
-        files = self.pools[pool]
-        path = files[int(rng.integers(len(files)))]
-        clip = read_wav(path).samples
+        clips = self.pools[pool]
+        name, clip = clips[int(rng.integers(len(clips)))]
         reps = int(np.ceil(n / clip.size))
-        return np.tile(clip, reps)[:n], path.name
+        return np.tile(clip, reps)[:n], name
 
 
 # ---------------------------------------------------------------------------

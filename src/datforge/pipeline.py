@@ -6,7 +6,6 @@ import ctypes
 import json
 import multiprocessing
 import os
-import shutil
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -45,6 +44,10 @@ from .trainer import (
 )
 
 RUN_MARKER = "RUN-INCOMPLETE"
+# every name run_experiment writes into its output dir, whatever the manifest's stages
+RUN_FILES = ("report.csv", "report.json", "manifest.json", "training_log.csv",
+             "corpus_manifest.jsonl", RUN_MARKER,
+             *(f"{stage}{end}" for stage in STAGES for end in (".ckpt", "_continual.ckpt")))
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str):
@@ -103,6 +106,12 @@ class SweepSpec:
     stage: str = "dat_only"
     objective: str = "ce"
 
+    def __post_init__(self):
+        if not self.lambdas or not all(isinstance(l, (int, float)) and l > 0
+                                       for l in self.lambdas):
+            raise ConfigError(f"sweep lambdas must be a non-empty list of numbers > 0, "
+                              f"got {self.lambdas!r}")
+
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepSpec":
         _check_keys(obj, {f for f in cls.__dataclass_fields__}, "sweep")
@@ -147,32 +156,23 @@ class ExperimentManifest:
             raise ConfigError(f"manifest {path} must hold a JSON object")
         return cls.from_dict(obj)
 
+    def with_seed(self, seed: int) -> "ExperimentManifest":
+        """A copy whose manifest, corpus and stage seeds are all ``seed``; ``splits_seed`` is kept."""
+        return replace(self, seed=seed, corpus=replace(self.corpus, seed=seed),
+                       stages=[replace(s, config=replace(s.config, seed=seed))
+                               for s in self.stages])
 
-def standard_manifest(seed: int, output_dir: str = "datforge-out") -> ExperimentManifest:
-    """The standard synthetic experiment: C=4, 400 train clips, all five stages.
 
-    This is the configuration behind the trend and probe acceptance criteria;
-    tests and the example scripts share it so there is exactly one definition.
+STANDARD_MANIFEST = Path(__file__).resolve().parents[2] / "manifests" / "standard.json"
+
+
+def standard_manifest(seed: int) -> ExperimentManifest:
+    """The standard synthetic experiment, ``manifests/standard.json``, at ``seed``.
+
+    This is the configuration behind the trend and probe acceptance criteria,
+    and ``datforge run --manifest manifests/standard.json --seed N`` runs it too.
     """
-    # supervised stages converge by 50 epochs; the pure DAT stage needs the
-    # longer schedule for invariance, while the combined stage works best with
-    # a light adversarial touch on top of the pretrained features
-    stages = [
-        {"stage": "baseline", "epochs": 50},
-        {"stage": "oracle", "epochs": 50},
-        {"stage": "continual_only", "epochs": 50},
-        {"stage": "dat_only", "epochs": 80, "lambda": 1e-2},
-        {"stage": "continual_plus_dat", "epochs": 50, "lambda": 1e-3},
-    ]
-    return ExperimentManifest.from_dict({
-        "seed": seed,
-        "splits_seed": 7,
-        "corpus": {"classes": 4, "n_per_class": 100, "test_n_per_class": 25,
-                   "continual_n_per_class": 50, "seed": seed},
-        "stages": stages,
-        "sweep": {"lambdas": list(DEFAULT_LAMBDA_GRID), "stage": "dat_only"},
-        "output_dir": output_dir,
-    })
+    return ExperimentManifest.from_file(STANDARD_MANIFEST).with_seed(seed)
 
 
 @dataclass
@@ -314,15 +314,17 @@ def run_stages(manifest: ExperimentManifest, data: ExperimentData,
 
 def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport:
     """Full pipeline: corpus -> stages -> report files under ``out_dir``."""
-    out_dir = Path(out_dir)
-    marker = out_dir / RUN_MARKER
-    if marker.exists():  # previous interrupted run: start clean
-        shutil.rmtree(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    marker.write_text("running\n")
-
+    # the corpus is built first, so that a bad noise WAV leaves the output dir untouched
     needs_continual = any(s.stage in CONTINUAL_STAGES for s in manifest.stages)
     data = build_experiment_data(manifest.corpus, manifest.splits_seed, needs_continual)
+
+    out_dir = Path(out_dir)
+    marker = out_dir / RUN_MARKER
+    if marker.exists():  # previous interrupted run: remove only what it may have written
+        for name in RUN_FILES:
+            (out_dir / name).unlink(missing_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    marker.write_text("running\n")
     write_manifest(out_dir / "corpus_manifest.jsonl", manifest_entries(data.splits))
 
     results = run_stages(manifest, data, checkpoint_dir=out_dir)
@@ -381,14 +383,12 @@ def run_sweep(manifest: ExperimentManifest, out_dir: Path, jobs: int = 1) -> lis
     if entry is None:
         raise ConfigError(f"sweep stage {sweep.stage!r} has no entry in the manifest's stages")
     lams = sorted(sweep.lambdas, reverse=True)
-    if any(l <= 0 for l in lams):
-        raise ConfigError(f"sweep lambdas must be > 0, got {lams}")
     cfg = replace(entry.config, objective=sweep.objective,
                   domain_setting="binary" if sweep.objective == "bce" else "multi")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     needs_continual = sweep.stage in CONTINUAL_STAGES
     data = build_experiment_data(manifest.corpus, manifest.splits_seed, needs_continual)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cells = [(data.splits, cfg, lam, sweep.stage, data.continual_set) for lam in lams]
     rows = []
     for lam, (clean, seen, unseen) in parallel_map(_sweep_cell, cells, jobs):
@@ -412,10 +412,10 @@ def _write_sweep_csv(path, rows: list[dict]):
 
 def run_probe(manifest: ExperimentManifest, out_dir: Path) -> list[dict]:
     """Train the manifest's stages, then measure residual domain information per stage."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     needs_continual = any(s.stage in CONTINUAL_STAGES for s in manifest.stages)
     data = build_experiment_data(manifest.corpus, manifest.splits_seed, needs_continual)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     results = run_stages(manifest, data)
     rows = []
     for res in results:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -356,16 +356,3 @@ def run_stage(stage: str, splits: CorpusSplit, cfg: TrainConfig,
     return StageResult(stage, cfg.objective if is_dat else None,
                        cfg.grl_lambda if is_dat else None, model, log, ckpt_path)
 
-
-def lambda_sweep(splits: CorpusSplit, cfg: TrainConfig, lambdas=DEFAULT_LAMBDA_GRID,
-                 stage: str = "dat_only",
-                 continual_set: list[ContinualClip] | None = None) -> list[tuple[float, StageResult]]:
-    """Controlled sweep: identical seed per lambda; results sorted by lambda descending."""
-    if not lambdas:
-        raise ConfigError("lambda_sweep: empty lambda list")
-    if any(l <= 0 for l in lambdas):
-        raise ConfigError(f"lambda_sweep: all lambdas must be > 0, got {list(lambdas)}")
-    out = []
-    for lam in sorted(lambdas, reverse=True):
-        out.append((lam, run_stage(stage, splits, replace(cfg, grl_lambda=lam), continual_set)))
-    return out

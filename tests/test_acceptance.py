@@ -348,7 +348,7 @@ def test_criterion_7_determinism(tmp_path):
 # criterion 8: lambda sweep protocol
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_lambda_sweep(tmp_path):
+def test_criterion_8_sweep_protocol(tmp_path):
     manifest = ExperimentManifest.from_dict({
         "seed": 1,
         "corpus": {"classes": 4, "n_per_class": 6, "test_n_per_class": 2,

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from datforge.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from datforge.distort import read_wav, synth_corpus, write_wav
+from datforge.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _load_manifest, build_parser, main
+from datforge.distort import Waveform, read_wav, synth_corpus, write_wav
 from datforge.errors import ConfigError
 from datforge.pipeline import (
     CorpusSpec,
@@ -13,7 +14,10 @@ from datforge.pipeline import (
     SweepSpec,
     run_experiment,
     run_sweep,
+    standard_manifest,
 )
+
+STANDARD_JSON = Path(__file__).resolve().parents[1] / "manifests" / "standard.json"
 
 TINY_MANIFEST = {
     "seed": 1,
@@ -73,6 +77,45 @@ class TestManifestParsing:
         assert SweepSpec().lambdas == [1e-1, 1e-2, 1e-3, 1e-4]
 
 
+def _reference_standard_manifest(seed: int) -> ExperimentManifest:
+    """The Python literal that defined ``standard_manifest`` before ``manifests/standard.json`` did."""
+    return ExperimentManifest.from_dict({
+        "seed": seed,
+        "splits_seed": 7,
+        "corpus": {"classes": 4, "n_per_class": 100, "test_n_per_class": 25,
+                   "continual_n_per_class": 50, "seed": seed},
+        "stages": [
+            {"stage": "baseline", "epochs": 50},
+            {"stage": "oracle", "epochs": 50},
+            {"stage": "continual_only", "epochs": 50},
+            {"stage": "dat_only", "epochs": 80, "lambda": 1e-2},
+            {"stage": "continual_plus_dat", "epochs": 50, "lambda": 1e-3},
+        ],
+        "sweep": {"lambdas": [1e-1, 1e-2, 1e-3, 1e-4], "stage": "dat_only"},
+        "output_dir": "datforge-out",
+    })
+
+
+class TestStandardManifest:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 301])
+    def test_equals_reference_literal(self, seed):
+        assert standard_manifest(seed) == _reference_standard_manifest(seed)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cli_seed_matches_library(self, seed):
+        args = build_parser().parse_args(
+            ["run", "--manifest", str(STANDARD_JSON), "--seed", str(seed)])
+        assert _load_manifest(args) == standard_manifest(seed)
+
+    def test_with_seed_sets_manifest_corpus_and_stage_seeds(self):
+        m = ExperimentManifest.from_dict(dict(TINY_MANIFEST, splits_seed=9))
+        s = m.with_seed(4)
+        assert (s.seed, s.corpus.seed, s.splits_seed) == (4, 4, 9)
+        assert [x.config.seed for x in s.stages] == [4, 4]
+        assert (m.seed, m.corpus.seed) == (1, 1)  # the original is left alone
+        assert [x.config.seed for x in m.stages] == [1, 1]
+
+
 class TestRunCommand:
     def test_dry_run_writes_nothing(self, manifest_path, tmp_path, capsys):
         assert main(["run", "--manifest", str(manifest_path), "--dry-run"]) == EXIT_OK
@@ -92,11 +135,16 @@ class TestRunCommand:
         assert lines[0] == "stage,objective,lambda,clean_acc,seen_acc,unseen_acc"
         assert len(lines) == 3
 
-    def test_seed_override(self, manifest_path):
+    def test_seed_override(self, manifest_path, capsys):
         m = ExperimentManifest.from_file(manifest_path)
         assert m.seed == 1  # manifest value; --seed must override it
         assert main(["run", "--manifest", str(manifest_path),
                      "--seed", "5", "--dry-run"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        corpus = next(l for l in lines if l.startswith("corpus: "))
+        assert "'seed': 5" in corpus
+        stages = [l for l in lines if l.startswith("stage: ")]
+        assert len(stages) == 2 and all(" seed=5 " in l for l in stages)
 
     def test_missing_manifest_exit_code(self, tmp_path, capsys):
         code = main(["run", "--manifest", str(tmp_path / "none.json")])
@@ -108,10 +156,29 @@ class TestRunCommand:
         out.mkdir()
         (out / "RUN-INCOMPLETE").write_text("running\n")
         (out / "stale.txt").write_text("leftover")
+        (out / "report.csv").write_text("stale report\n")
         assert main(["run", "--manifest", str(manifest_path)]) == EXIT_OK
-        assert not (out / "stale.txt").exists()
-        assert (out / "report.csv").is_file()
+        # only what a run writes is removed; a file the run did not write survives
+        assert (out / "stale.txt").read_text() == "leftover"
+        lines = (out / "report.csv").read_text().splitlines()
+        assert lines[0] == "stage,objective,lambda,clean_acc,seen_acc,unseen_acc"
+        assert not (out / "RUN-INCOMPLETE").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
+    def test_silent_noise_wav_is_config_error_before_training(self, tmp_path, capsys, command):
+        noise = tmp_path / "noise"
+        noise.mkdir()
+        rng = np.random.default_rng(0)
+        for i in range(6):
+            write_wav(noise / f"n{i}.wav", Waveform(0.1 * rng.standard_normal(1600)))
+        write_wav(noise / "silent.wav", Waveform(np.zeros(1600)))
+        payload = dict(TINY_MANIFEST, output_dir=str(tmp_path / "out"))
+        payload["corpus"] = dict(TINY_MANIFEST["corpus"], noise_wav_dir=str(noise))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert main([command, "--manifest", str(path)]) == EXIT_CONFIG
+        assert "silent.wav" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_loss_exit_code(self, manifest_path, monkeypatch, capsys):
         from datforge import trainer
@@ -183,6 +250,16 @@ class TestSweepCommand:
         # the manifest's dat_only entry: 1 epoch of batch 4, not TrainConfig's 80 epochs
         assert seen == [("dat_only", 1, 4, 1e-1), ("dat_only", 1, 4, 1e-2)]
 
+    @pytest.mark.parametrize("lambdas", [[], [1e-2, 0.0], [1e-2, -1.0]])
+    def test_bad_lambdas_rejected_when_parsed(self, tmp_path, lambdas):
+        payload = dict(TINY_MANIFEST, output_dir=str(tmp_path / "out"),
+                       sweep={"lambdas": lambdas, "stage": "dat_only"})
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert main(["sweep", "--manifest", str(path), "--dry-run"]) == EXIT_CONFIG
+        assert main(["sweep", "--manifest", str(path)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_stage_without_entry_is_config_error(self, tmp_path):
         payload = dict(TINY_MANIFEST, output_dir=str(tmp_path / "out"),
                        sweep={"lambdas": [1e-2], "stage": "continual_plus_dat"})
@@ -200,6 +277,20 @@ class TestProbeCommand:
         rows = json.loads((tmp_path / "out" / "probe.json").read_text())
         assert [r["stage"] for r in rows] == ["baseline", "dat_only"]
         assert all(0.0 <= r["probe_acc"] <= 1.0 for r in rows)
+
+    def test_dry_run_prints_the_run_plan_and_trains_nothing(self, manifest_path, tmp_path,
+                                                           capsys, monkeypatch):
+        from datforge import pipeline
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("probe --dry-run trained a stage")
+
+        monkeypatch.setattr(pipeline, "run_stage", no_training)
+        assert main(["run", "--manifest", str(manifest_path), "--dry-run"]) == EXIT_OK
+        run_plan = capsys.readouterr().out
+        assert main(["probe", "--manifest", str(manifest_path), "--dry-run"]) == EXIT_OK
+        assert capsys.readouterr().out == run_plan
+        assert not (tmp_path / "out").exists()
 
 
 class TestDistortCommand:

@@ -20,6 +20,7 @@ from datforge.distort import (
     ContinualClip,
     DistortionSpec,
     ProceduralNoiseBank,
+    WavNoiseBank,
     Waveform,
     add_gaussian,
     apply_reverb,
@@ -39,7 +40,7 @@ from datforge.distort import (
     write_manifest,
     write_wav,
 )
-from datforge.errors import FormatError, PolicyError
+from datforge.errors import ConfigError, FormatError, PolicyError
 
 
 def measured_snr_db(mixed: Waveform, clean: Waveform) -> float:
@@ -165,6 +166,43 @@ class TestNoiseBank:
         a, fa = bank.draw("train", 1600, 16000, 5)
         b, fb = bank.draw("train", 1600, 16000, 5)
         assert fa == fb and np.array_equal(a, b)
+
+
+class TestWavNoiseBank:
+    @pytest.fixture()
+    def noise_dir(self, tmp_path):
+        d = tmp_path / "noise"
+        d.mkdir()
+        rng = np.random.default_rng(0)
+        for i in range(6):  # the name hash puts n0-n2 and n4 in "train", n3 and n5 in "unseen"
+            write_wav(d / f"n{i}.wav", Waveform(0.1 * rng.standard_normal(1600)))
+        return d
+
+    def test_draws_from_samples_kept_when_built(self, noise_dir):
+        bank = WavNoiseBank(noise_dir)
+        keys = [(pool, s) for pool in ("train", "unseen") for s in range(6)]
+        before = [bank.draw(pool, 4000, 16000, s) for pool, s in keys]
+        for path in noise_dir.glob("*.wav"):
+            path.unlink()
+        after = [bank.draw(pool, 4000, 16000, s) for pool, s in keys]
+        pools = {"train": {"n0.wav", "n1.wav", "n2.wav", "n4.wav"}, "unseen": {"n3.wav", "n5.wav"}}
+        assert all(name in pools[pool] for (pool, _s), (_x, name) in zip(keys, before))
+        for (a, fa), (b, fb) in zip(before, after):
+            assert fa == fb and a.shape == (4000,) and np.array_equal(a, b)
+
+    def test_silent_wav_rejected_when_built(self, noise_dir):
+        write_wav(noise_dir / "silent.wav", Waveform(np.zeros(1600)))
+        with pytest.raises(ConfigError, match="silent.wav"):
+            WavNoiseBank(noise_dir)
+
+    def test_empty_dir_rejected_when_built(self, tmp_path):
+        with pytest.raises(ConfigError, match="no WAV files"):
+            WavNoiseBank(tmp_path)
+
+    def test_wrong_rate_wav_rejected_when_built(self, noise_dir):
+        write_wav(noise_dir / "slow.wav", Waveform(0.1 * np.ones(800), 8000))
+        with pytest.raises(ConfigError, match="slow.wav"):
+            WavNoiseBank(noise_dir)
 
 
 class TestLargestRemainder:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from datforge.distort import build_continual_set, featurize
-from datforge import trainer
+from datforge import pipeline, trainer
 from datforge.errors import ConfigError, DatforgeError, PolicyError
 from datforge.gradcore import Optimizer, Tape
 from datforge.models import DannModel, ModelConfig
 from datforge.objectives import task_loss
+from datforge.pipeline import ExperimentManifest, SweepSpec, run_sweep
 from datforge.trainer import (
     DEFAULT_LAMBDA_GRID,
     PAPER_ALPHA,
@@ -20,7 +21,6 @@ from datforge.trainer import (
     dat_step,
     domain_indices,
     features_of,
-    lambda_sweep,
     run_stage,
     train_dat,
     train_supervised,
@@ -313,20 +313,38 @@ class TestSeparableToyCase:
 
 
 class TestLambdaSweep:
-    def test_sorted_descending_and_complete(self, small_splits):
-        results = lambda_sweep(small_splits, small_cfg(epochs=1),
-                               lambdas=(1e-3, 1e-1), stage="dat_only")
-        assert [lam for lam, _ in results] == [1e-1, 1e-3]
-        assert all(r.grl_lambda == lam for lam, r in results)
+    """The one sweep path: ``pipeline.run_sweep`` over the manifest's ``SweepSpec``."""
+
+    def test_sorted_descending_and_complete(self, tmp_path, monkeypatch):
+        trained = []
+        real = pipeline.run_stage
+
+        def recording(stage, splits, cfg, *args, **kwargs):
+            result = real(stage, splits, cfg, *args, **kwargs)
+            trained.append(result.grl_lambda)
+            return result
+
+        monkeypatch.setattr(pipeline, "run_stage", recording)
+        manifest = ExperimentManifest.from_dict({
+            "corpus": {"n_per_class": 10, "test_n_per_class": 3, "seed": 11},
+            "splits_seed": 5,
+            "stages": [{"stage": "dat_only", "epochs": 1, "batch_size": 4}],
+            "sweep": {"lambdas": [1e-3, 1e-1], "stage": "dat_only"},
+        })
+        rows = run_sweep(manifest, tmp_path, jobs=1)
+        assert [r["lambda"] for r in rows] == [1e-1, 1e-3]
+        assert trained == [r["lambda"] for r in rows]
 
     def test_default_grid(self):
         assert DEFAULT_LAMBDA_GRID == (1e-1, 1e-2, 1e-3, 1e-4)
 
-    def test_invalid_lambdas_rejected(self, small_splits):
+    def test_invalid_lambdas_rejected(self):
         with pytest.raises(ConfigError):
-            lambda_sweep(small_splits, small_cfg(), lambdas=())
+            SweepSpec.from_dict({"lambdas": []})
         with pytest.raises(ConfigError):
-            lambda_sweep(small_splits, small_cfg(), lambdas=(1e-2, -1.0))
+            SweepSpec.from_dict({"lambdas": [1e-2, -1.0]})
+        with pytest.raises(ConfigError):
+            SweepSpec.from_dict({"lambdas": [1e-2, 0.0]})
 
 
 class TestTrainingLog:
