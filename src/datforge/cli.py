@@ -28,7 +28,7 @@ from .distort import (
     write_wav,
 )
 from .errors import ConfigError, DatforgeError, FormatError
-from .pipeline import ExperimentManifest, run_experiment, run_probe, run_sweep
+from .pipeline import ExperimentManifest, run_experiment, run_probe, run_sweep, usable_cpus
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,7 +79,7 @@ def _cmd_sweep(args) -> int:
         print(f"sweep stage={sweep.stage} objective={sweep.objective} "
               f"lambdas={sorted(sweep.lambdas, reverse=True)}")
         return EXIT_OK
-    rows = run_sweep(manifest, out_dir, jobs=args.jobs)
+    rows = run_sweep(manifest, out_dir, jobs=usable_cpus())
     for r in rows:
         marker = " *" if r["reported"] else ""
         print(f"lambda={r['lambda']:g} clean={r['clean_acc']:.3f} "
@@ -156,9 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the gradient-reversal weight sweep")
     add_manifest_args(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="most sweep cells trained at once, each in a forked worker "
-                              "with one BLAS thread (capped at the usable CPUs)")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_probe = sub.add_parser("probe", help="measure residual domain info in frozen features")

@@ -39,6 +39,7 @@ TRAIN_T60S = (0.2, 0.5, 0.8)
 UNSEEN_T60S = (0.3, 1.2)
 
 SNR_RANGE_DB = (10.0, 20.0)
+MIN_SPLIT_CLIPS = 10  # fewest training clips build_splits halves into S and T
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -399,8 +400,8 @@ def build_splits(corpus: list[LabeledClip], seed: int,
                  test_corpus: list[LabeledClip] | None = None,
                  noise_bank=None) -> CorpusSplit:
     """50/50 clean/noisy split of the training corpus plus the three test sets."""
-    if len(corpus) < 10:
-        raise ValueError(f"corpus too small to split ({len(corpus)} < 10)")
+    if len(corpus) < MIN_SPLIT_CLIPS:
+        raise ValueError(f"corpus too small to split ({len(corpus)} < {MIN_SPLIT_CLIPS})")
     bank = noise_bank or ProceduralNoiseBank()
     rng = np.random.default_rng(derive_seed(seed, 0))
     perm = rng.permutation(len(corpus))

@@ -55,14 +55,15 @@ def evaluate(model: DannModel, test_set: list[LabeledClip],
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
+PROBE_LR = 1e-2
+PROBE_HOLDOUT = 0.25  # share of the S+T clips the probe is scored on
+PROBE_PLATEAU = 1e-4  # largest loss range over the last 10 epochs that counts as converged
+
+
 @dataclass
 class ProbeConfig:
     epochs: int = 100
-    lr: float = 1e-2
-    holdout_fraction: float = 0.25
     seed: int = 0
-    domain_setting: str = "multi"
-    plateau_tol: float = 1e-4
 
 
 def domain_probe(model: DannModel, splits: CorpusSplit,
@@ -70,7 +71,8 @@ def domain_probe(model: DannModel, splits: CorpusSplit,
     """Train a fresh pool+linear domain classifier on frozen features.
 
     Lower held-out probe accuracy means more domain-invariant features.
-    The extractor is only read, never updated.
+    The extractor is only read, never updated.  The probe always tells every
+    distortion kind apart (multi-domain), whatever setting the model trained in.
     """
     cfg = probe_cfg or ProbeConfig()
     pooled = [model.extractor.extract_features(f).mean(axis=0)
@@ -78,18 +80,18 @@ def domain_probe(model: DannModel, splits: CorpusSplit,
     x = np.stack(pooled)
     doms = np.concatenate([
         np.zeros(len(splits.S), dtype=np.int64),
-        domain_indices(splits.T, cfg.domain_setting),
+        domain_indices(splits.T, "multi"),
     ])
-    n_dom = 2 if cfg.domain_setting == "binary" else model.cfg.n_domains + 1
+    n_dom = model.cfg.n_domains + 1
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(len(doms))
-    n_hold = max(1, int(len(doms) * cfg.holdout_fraction))
+    n_hold = max(1, int(len(doms) * PROBE_HOLDOUT))
     hold, train = perm[:n_hold], perm[n_hold:]
 
     d = x.shape[1]
     w = Parameter(rng.normal(0.0, 1.0 / np.sqrt(d), (d, n_dom)), "aux", "probe.W")
     b = Parameter(np.zeros(n_dom), "aux", "probe.b")
-    opt = Optimizer([w, b], {"aux": cfg.lr})
+    opt = Optimizer([w, b], {"aux": PROBE_LR})
     losses = []
     for _ in range(cfg.epochs):
         tape = Tape()
@@ -99,7 +101,7 @@ def domain_probe(model: DannModel, splits: CorpusSplit,
         opt.step()
         losses.append(float(loss.value))
     tail = losses[-10:]
-    converged = (max(tail) - min(tail)) < cfg.plateau_tol
+    converged = (max(tail) - min(tail)) < PROBE_PLATEAU
     hold_logits = x[hold] @ w.value + b.value
     acc = float(np.mean(np.argmax(hold_logits, axis=1) == doms[hold]))
     return DomainProbeResult(acc, 1.0 / n_dom, converged, losses)

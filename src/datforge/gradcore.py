@@ -18,6 +18,7 @@ FEATURE_EXTRACTOR = "feature_extractor"
 LABEL_PREDICTOR = "label_predictor"
 DOMAIN_CLASSIFIER = "domain_classifier"
 GROUPS = (FEATURE_EXTRACTOR, LABEL_PREDICTOR, DOMAIN_CLASSIFIER)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -263,14 +264,12 @@ class Optimizer:
     """
 
     def __init__(self, params: list[Parameter], lr_by_group: dict[str, float],
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  sgd: bool = False):
         for p in params:
             if p.group not in lr_by_group:
                 raise ConfigError(f"no learning rate for group {p.group!r}")
         self.params = list(params)
         self.lr_by_group = dict(lr_by_group)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.sgd = sgd
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
@@ -283,11 +282,11 @@ class Optimizer:
             if self.sgd:
                 p.value -= lr * p.grad
             else:
-                self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * p.grad
-                self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * p.grad**2
-                m_hat = self._m[i] / (1.0 - self.beta1**self.t)
-                v_hat = self._v[i] / (1.0 - self.beta2**self.t)
-                p.value -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                self._m[i] = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * p.grad
+                self._v[i] = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * p.grad**2
+                m_hat = self._m[i] / (1.0 - ADAM_BETA1**self.t)
+                v_hat = self._v[i] / (1.0 - ADAM_BETA2**self.t)
+                p.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.zero_grad()
 
     def zero_grad(self):

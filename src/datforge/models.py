@@ -95,12 +95,6 @@ class LabelPredictor:
     def forward_pooled(self, tape: Tape, pooled: Node) -> Node:
         return tape.linear(pooled, tape.param(self.w), tape.param(self.b))
 
-    def predict_label(self, z: np.ndarray) -> np.ndarray:
-        """Logits for one T x D feature sequence."""
-        tape = Tape()
-        pooled = tape.mean_over_rows(tape.const(z))
-        return self.forward_pooled(tape, pooled).value[0]
-
 
 class DomainClassifier:
     """Gradient-reversed mean-pooled features into one linear layer.
@@ -125,12 +119,6 @@ class DomainClassifier:
         if detach_head:
             w, b = tape.stop_gradient(w), tape.stop_gradient(b)
         return tape.linear(pooled, w, b)
-
-    def classify_domain(self, z: np.ndarray, lam: float | None = None) -> np.ndarray:
-        """Domain logits for one T x D feature sequence."""
-        tape = Tape()
-        pooled = tape.mean_over_rows(tape.const(z))
-        return self.forward_pooled(tape, pooled, lam).value[0]
 
 
 class DannModel:

@@ -9,10 +9,11 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .distort import (
+    MIN_SPLIT_CLIPS,
     CorpusSplit,
     WavNoiseBank,
     build_continual_set,
@@ -32,6 +33,7 @@ from .evalharness import (
     write_report_csv,
     write_report_json,
 )
+from .models import ModelConfig
 from .trainer import (
     CONTINUAL_STAGES,
     DEFAULT_LAMBDA_GRID,
@@ -66,13 +68,27 @@ class CorpusSpec:
     seed: int = 1
     noise_wav_dir: str | None = None
 
+    def __post_init__(self):
+        if self.type != "synthetic":
+            raise ConfigError(f"unsupported corpus type {self.type!r}")
+        for name, least in (("classes", 2), ("n_per_class", 1), ("test_n_per_class", 1),
+                            ("continual_n_per_class", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ConfigError(f"corpus {name} must be an integer >= {least}, got {value!r}")
+        if self.classes * self.n_per_class < MIN_SPLIT_CLIPS:
+            raise ConfigError(f"corpus has {self.classes * self.n_per_class} training clips "
+                              f"(classes x n_per_class), fewer than {MIN_SPLIT_CLIPS}")
+
     @classmethod
     def from_dict(cls, obj: dict) -> "CorpusSpec":
         _check_keys(obj, {f for f in cls.__dataclass_fields__}, "corpus")
-        spec = cls(**obj)
-        if spec.type != "synthetic":
-            raise ConfigError(f"unsupported corpus type {spec.type!r}")
-        return spec
+        return cls(**obj)
+
+
+# a stage entry's keys are TrainConfig's field names, except that grl_lambda is "lambda"
+_FIELD_TO_KEY = {"grl_lambda": "lambda"}
+_KEY_TO_FIELD = {key: name for name, key in _FIELD_TO_KEY.items()}
 
 
 @dataclass
@@ -82,22 +98,20 @@ class StageSpec:
 
     @classmethod
     def from_dict(cls, obj: dict, default_seed: int) -> "StageSpec":
-        allowed = {"stage", "objective", "lambda", "domain_setting", "epochs",
-                   "continual_epochs", "batch_size", "eta", "alpha", "beta",
-                   "seed", "optimizer"}
-        _check_keys(obj, allowed, "stages[]")
+        allowed = {_FIELD_TO_KEY.get(f.name, f.name) for f in fields(TrainConfig)}
+        _check_keys(obj, allowed | {"stage"}, "stages[]")
         if "stage" not in obj:
             raise ConfigError("each stage entry needs a 'stage' key")
         stage = obj["stage"]
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}; expected one of {STAGES}")
-        kw = {k: v for k, v in obj.items() if k not in ("stage", "lambda")}
-        if "lambda" in obj:
-            kw["grl_lambda"] = obj["lambda"]
+        kw = {_KEY_TO_FIELD.get(k, k): v for k, v in obj.items() if k != "stage"}
         kw.setdefault("seed", default_seed)
-        if kw.get("objective") == "bce":
-            kw.setdefault("domain_setting", "binary")
         return cls(stage, TrainConfig(**kw))
+
+    def to_dict(self) -> dict:
+        return {"stage": self.stage,
+                **{_FIELD_TO_KEY.get(k, k): v for k, v in asdict(self.config).items()}}
 
 
 @dataclass
@@ -126,6 +140,11 @@ class ExperimentManifest:
     seed: int = 1
     sweep: SweepSpec | None = None
     output_dir: str = "datforge-out"
+
+    def __post_init__(self):
+        if self.sweep is not None and all(s.stage != self.sweep.stage for s in self.stages):
+            raise ConfigError(f"sweep stage {self.sweep.stage!r} has no entry in the "
+                              f"manifest's stages")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentManifest":
@@ -156,6 +175,19 @@ class ExperimentManifest:
             raise ConfigError(f"manifest {path} must hold a JSON object")
         return cls.from_dict(obj)
 
+    def to_dict(self) -> dict:
+        """The manifest as ``from_dict`` reads it, so ``from_dict(m.to_dict()) == m``."""
+        obj = {
+            "corpus": asdict(self.corpus),
+            "splits_seed": self.splits_seed,
+            "seed": self.seed,
+            "output_dir": self.output_dir,
+            "stages": [s.to_dict() for s in self.stages],
+        }
+        if self.sweep is not None:
+            obj["sweep"] = asdict(self.sweep)
+        return obj
+
     def with_seed(self, seed: int) -> "ExperimentManifest":
         """A copy whose manifest, corpus and stage seeds are all ``seed``; ``splits_seed`` is kept."""
         return replace(self, seed=seed, corpus=replace(self.corpus, seed=seed),
@@ -179,6 +211,7 @@ def standard_manifest(seed: int) -> ExperimentManifest:
 class ExperimentData:
     splits: CorpusSplit
     continual_set: list
+    classes: int  # the corpus's; the label head gets one output per class
 
 
 def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
@@ -194,7 +227,7 @@ def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
                                    derive_seed(corpus.seed, 202), id_prefix="cont")
         continual = build_continual_set([c.waveform for c in cont_corpus],
                                         derive_seed(splits_seed, 7), bank)
-    return ExperimentData(splits, continual)
+    return ExperimentData(splits, continual, corpus.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +329,14 @@ def parallel_map(fn, items, jobs: int) -> list:
                 raise
 
 
+def _train_stage(stage: str, cfg: TrainConfig, data: ExperimentData,
+                 checkpoint_dir=None) -> StageResult:
+    """``run_stage`` on a model whose label head has one output per corpus class."""
+    model_cfg = ModelConfig(n_classes=data.classes, domain_setting=cfg.domain_setting)
+    return run_stage(stage, data.splits, cfg, continual_set=data.continual_set or None,
+                     model_cfg=model_cfg, checkpoint_dir=checkpoint_dir)
+
+
 def run_stages(manifest: ExperimentManifest, data: ExperimentData,
                checkpoint_dir=None) -> list[StageResult]:
     """Train every stage of the manifest, one per usable CPU; results do not depend on the count.
@@ -306,9 +347,7 @@ def run_stages(manifest: ExperimentManifest, data: ExperimentData,
     """
     jobs = 1 if hasattr(run_stage, "__wrapped__") else usable_cpus()
     return parallel_map(
-        lambda spec: run_stage(spec.stage, data.splits, spec.config,
-                               continual_set=data.continual_set or None,
-                               checkpoint_dir=checkpoint_dir),
+        lambda spec: _train_stage(spec.stage, spec.config, data, checkpoint_dir),
         manifest.stages, jobs)
 
 
@@ -333,7 +372,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
     for res in results:
         res.model.save(out_dir / f"{res.stage}.ckpt")
 
-    payload = _manifest_payload(manifest)
+    payload = manifest.to_dict()
     # where a run is written is not part of what it computes
     meta = {"seed": manifest.seed, "splits_seed": manifest.splits_seed,
             "config_hash": config_hash({k: v for k, v in payload.items() if k != "output_dir"})}
@@ -345,27 +384,14 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
     return report
 
 
-def _manifest_payload(manifest: ExperimentManifest) -> dict:
-    payload = {
-        "corpus": vars(manifest.corpus),
-        "splits_seed": manifest.splits_seed,
-        "seed": manifest.seed,
-        "output_dir": manifest.output_dir,
-        "stages": [{"stage": s.stage, **vars(s.config)} for s in manifest.stages],
-    }
-    if manifest.sweep:
-        payload["sweep"] = vars(manifest.sweep)
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
 def _sweep_cell(args):
-    splits, cfg, lam, stage, continual_set = args
-    result = run_stage(stage, splits, replace(cfg, grl_lambda=lam), continual_set or None)
-    report = build_report([result], splits)
+    data, cfg, lam, stage = args
+    result = _train_stage(stage, replace(cfg, grl_lambda=lam), data)
+    report = build_report([result], data.splits)
     row = report.rows[0]
     return lam, (row.clean_acc, row.seen_acc, row.unseen_acc)
 
@@ -379,17 +405,14 @@ def run_sweep(manifest: ExperimentManifest, out_dir: Path, jobs: int = 1) -> lis
     if manifest.sweep is None:
         raise ConfigError("manifest has no 'sweep' section")
     sweep = manifest.sweep
-    entry = next((s for s in manifest.stages if s.stage == sweep.stage), None)
-    if entry is None:
-        raise ConfigError(f"sweep stage {sweep.stage!r} has no entry in the manifest's stages")
+    entry = next(s for s in manifest.stages if s.stage == sweep.stage)
     lams = sorted(sweep.lambdas, reverse=True)
-    cfg = replace(entry.config, objective=sweep.objective,
-                  domain_setting="binary" if sweep.objective == "bce" else "multi")
+    cfg = replace(entry.config, objective=sweep.objective)
     needs_continual = sweep.stage in CONTINUAL_STAGES
     data = build_experiment_data(manifest.corpus, manifest.splits_seed, needs_continual)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(data.splits, cfg, lam, sweep.stage, data.continual_set) for lam in lams]
+    cells = [(data, cfg, lam, sweep.stage) for lam in lams]
     rows = []
     for lam, (clean, seen, unseen) in parallel_map(_sweep_cell, cells, jobs):
         rows.append({"lambda": lam, "reported": lam in REPORTED_LAMBDAS,

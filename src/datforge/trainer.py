@@ -34,10 +34,8 @@ CONTINUAL_STAGES = ("continual_only", "continual_plus_dat")
 OBJECTIVES = ("bce", "ce", "entropy")
 DEFAULT_LAMBDA_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 REPORTED_LAMBDAS = (1e-2, 1e-3)
-
-# paper-scale learning rates, selectable via TrainConfig(paper_scale=True);
-# desk-scale defaults are scaled up because the models here are tiny
-PAPER_ETA, PAPER_ALPHA, PAPER_BETA = 1e-5, 1e-4, 1e-4
+MASK_FRACTION = 0.15  # frame masking rate for clean continual clips
+CONTINUAL_LR = 1e-3  # pretraining phase moves the extractor faster than fine-tuning
 
 
 @dataclass
@@ -47,31 +45,22 @@ class TrainConfig:
     beta: float = 1e-2   # domain classifier lr; a fast head stays a strong adversary
     grl_lambda: float = 1e-2
     objective: str = "ce"
-    domain_setting: str = "multi"
     epochs: int = 80
     continual_epochs: int = 20
     batch_size: int = 16
     seed: int = 0
     optimizer: str = "adam"  # "sgd" exists to make the update equations literally testable
-    mask_fraction: float = 0.15  # frame masking rate for clean continual clips
-    continual_lr: float = 1e-3  # pretraining phase moves the extractor faster than fine-tuning
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}")
-        if self.domain_setting not in ("binary", "multi"):
-            raise ConfigError(f"unknown domain_setting {self.domain_setting!r}")
-        if (self.objective == "bce") != (self.domain_setting == "binary"):
-            raise ConfigError(
-                f"objective {self.objective!r} requires domain_setting "
-                f"{'binary' if self.objective == 'bce' else 'multi'!r}"
-            )
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
-    @classmethod
-    def paper_scale(cls, **kw) -> "TrainConfig":
-        return cls(eta=PAPER_ETA, alpha=PAPER_ALPHA, beta=PAPER_BETA, **kw)
+    @property
+    def domain_setting(self) -> str:
+        """``binary`` (every distortion one domain) under ``bce``, else ``multi``."""
+        return "binary" if self.objective == "bce" else "multi"
 
     def lr_by_group(self) -> dict[str, float]:
         return {FEATURE_EXTRACTOR: self.eta, LABEL_PREDICTOR: self.alpha,
@@ -242,8 +231,8 @@ def continual_pretrain(model: DannModel, continual_set: list[ContinualClip],
     # not the raw log-feature offset
     dec_b = Parameter(np.concatenate(targets, axis=0).mean(axis=0), "aux", "dec.b")
     opt = Optimizer(model.group(FEATURE_EXTRACTOR) + [dec_w, dec_b],
-                    {**cfg.lr_by_group(), FEATURE_EXTRACTOR: cfg.continual_lr,
-                     "aux": cfg.continual_lr}, sgd=cfg.optimizer == "sgd")
+                    {**cfg.lr_by_group(), FEATURE_EXTRACTOR: CONTINUAL_LR,
+                     "aux": CONTINUAL_LR}, sgd=cfg.optimizer == "sgd")
     rows, step = [], 0
     floor = np.log(1e-8)
     for epoch in range(cfg.continual_epochs):
@@ -254,7 +243,7 @@ def continual_pretrain(model: DannModel, continual_set: list[ContinualClip],
             for i in batch:
                 x = inputs[i]
                 if is_clean[i]:
-                    mask = rng.random(x.shape[0]) < cfg.mask_fraction
+                    mask = rng.random(x.shape[0]) < MASK_FRACTION
                     x = x.copy()
                     x[mask] = floor
                 xs.append(x)

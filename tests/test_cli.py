@@ -3,10 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datforge.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _load_manifest, build_parser, main
 from datforge.distort import Waveform, read_wav, synth_corpus, write_wav
 from datforge.errors import ConfigError
+from datforge.models import load_checkpoint
 from datforge.pipeline import (
     CorpusSpec,
     ExperimentManifest,
@@ -16,6 +19,7 @@ from datforge.pipeline import (
     run_sweep,
     standard_manifest,
 )
+from datforge.trainer import OBJECTIVES, STAGES
 
 STANDARD_JSON = Path(__file__).resolve().parents[1] / "manifests" / "standard.json"
 
@@ -30,6 +34,13 @@ TINY_MANIFEST = {
     ],
     "sweep": {"lambdas": [1e-1, 1e-2], "stage": "dat_only"},
 }
+
+
+def _write_manifest(tmp_path, **changes) -> Path:
+    """TINY_MANIFEST with ``changes`` as ``tmp_path/m.json``, writing into ``tmp_path/out``."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dict(TINY_MANIFEST, output_dir=str(tmp_path / "out"), **changes)))
+    return path
 
 
 @pytest.fixture()
@@ -75,6 +86,67 @@ class TestManifestParsing:
 
     def test_default_sweep_grid(self):
         assert SweepSpec().lambdas == [1e-1, 1e-2, 1e-3, 1e-4]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_to_dict_inverts_from_dict(self, data):
+        positive = st.floats(1e-8, 10.0, allow_nan=False, allow_infinity=False)
+        entry = st.fixed_dictionaries({"stage": st.sampled_from(STAGES)}, optional={
+            "objective": st.sampled_from(OBJECTIVES), "lambda": positive, "eta": positive,
+            "alpha": positive, "beta": positive, "epochs": st.integers(0, 200),
+            "continual_epochs": st.integers(0, 50), "batch_size": st.integers(1, 64),
+            "optimizer": st.sampled_from(["adam", "sgd"]), "seed": st.integers(0, 2**31 - 1),
+        })
+        stages = data.draw(st.lists(entry, min_size=1, max_size=5))
+        obj = {
+            "seed": data.draw(st.integers(0, 2**31 - 1)),
+            "splits_seed": data.draw(st.integers(0, 2**31 - 1)),
+            "corpus": {"classes": data.draw(st.integers(2, 8)),
+                       "n_per_class": data.draw(st.integers(5, 200)),
+                       "test_n_per_class": data.draw(st.integers(1, 50)),
+                       "continual_n_per_class": data.draw(st.integers(1, 50)),
+                       "seed": data.draw(st.integers(0, 2**31 - 1))},
+            "stages": stages,
+        }
+        if data.draw(st.booleans()):
+            obj["sweep"] = {"lambdas": data.draw(st.lists(positive, min_size=1, max_size=4)),
+                            "stage": data.draw(st.sampled_from([e["stage"] for e in stages])),
+                            "objective": data.draw(st.sampled_from(OBJECTIVES))}
+        m = ExperimentManifest.from_dict(obj)
+        assert ExperimentManifest.from_dict(json.loads(json.dumps(m.to_dict()))) == m
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    def test_sweep_stage_without_entry_rejected_by_every_command(self, tmp_path, capsys,
+                                                               command, dry_run):
+        path = _write_manifest(tmp_path, stages=[{"stage": "baseline", "epochs": 1}],
+                               sweep={"lambdas": [1e-2], "stage": "dat_only"})
+        assert main([command, "--manifest", str(path), *dry_run]) == EXIT_CONFIG
+        assert "sweep stage 'dat_only' has no entry in the manifest's stages" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("corpus, message", [
+        ({"classes": 1}, "classes must be an integer >= 2, got 1"),
+        ({"n_per_class": 0}, "n_per_class must be an integer >= 1, got 0"),
+        ({"n_per_class": 2.5}, "n_per_class must be an integer >= 1, got 2.5"),
+        ({"test_n_per_class": 0}, "test_n_per_class must be an integer >= 1, got 0"),
+        ({"continual_n_per_class": -1}, "continual_n_per_class must be an integer >= 1"),
+        ({"classes": 2, "n_per_class": 3}, "corpus has 6 training clips"),
+    ])
+    def test_impossible_corpus_sizes_rejected(self, tmp_path, capsys, corpus, message):
+        path = _write_manifest(tmp_path, corpus=dict(TINY_MANIFEST["corpus"], **corpus))
+        assert main(["run", "--manifest", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scale", [1, 4])
+    def test_standard_corpus_sizes_accepted(self, scale):
+        c = standard_manifest(1).corpus
+        CorpusSpec(classes=c.classes, n_per_class=c.n_per_class // scale,
+                   test_n_per_class=c.test_n_per_class // scale,
+                   continual_n_per_class=c.continual_n_per_class // scale)
+        CorpusSpec(classes=c.classes, n_per_class=3, test_n_per_class=2, continual_n_per_class=2)
 
 
 def _reference_standard_manifest(seed: int) -> ExperimentManifest:
@@ -134,6 +206,21 @@ class TestRunCommand:
         lines = (out / "report.csv").read_text().splitlines()
         assert lines[0] == "stage,objective,lambda,clean_acc,seen_acc,unseen_acc"
         assert len(lines) == 3
+
+    def test_written_manifest_is_a_runnable_manifest(self, manifest_path, tmp_path):
+        assert main(["run", "--manifest", str(manifest_path)]) == EXIT_OK
+        written = tmp_path / "out" / "manifest.json"
+        assert main(["run", "--manifest", str(written), "--dry-run"]) == EXIT_OK
+        assert ExperimentManifest.from_file(written) == ExperimentManifest.from_file(manifest_path)
+
+    @pytest.mark.parametrize("classes", [2, 6])
+    def test_label_head_has_one_output_per_corpus_class(self, tmp_path, classes):
+        path = _write_manifest(tmp_path, corpus=dict(TINY_MANIFEST["corpus"], classes=classes))
+        assert main(["run", "--manifest", str(path)]) == EXIT_OK
+        for stage in ("baseline", "dat_only"):
+            ckpt = load_checkpoint(tmp_path / "out" / f"{stage}.ckpt")
+            assert {name: v.shape for name, _g, v in ckpt}["y.out.W"] == (32, classes)
+        assert main(["sweep", "--manifest", str(path)]) == EXIT_OK
 
     def test_seed_override(self, manifest_path, capsys):
         m = ExperimentManifest.from_file(manifest_path)

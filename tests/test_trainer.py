@@ -10,9 +10,6 @@ from datforge.objectives import task_loss
 from datforge.pipeline import ExperimentManifest, SweepSpec, run_sweep
 from datforge.trainer import (
     DEFAULT_LAMBDA_GRID,
-    PAPER_ALPHA,
-    PAPER_BETA,
-    PAPER_ETA,
     LogRow,
     TrainConfig,
     build_domain_loss,
@@ -43,19 +40,17 @@ class TestTrainConfig:
         assert cfg.objective == "ce" and cfg.domain_setting == "multi"
 
     def test_bce_requires_binary(self):
-        TrainConfig(objective="bce", domain_setting="binary")
-        with pytest.raises(ConfigError):
+        assert TrainConfig(objective="bce").domain_setting == "binary"
+        assert TrainConfig(objective="ce").domain_setting == "multi"
+        assert TrainConfig(objective="entropy").domain_setting == "multi"
+        with pytest.raises(TypeError):  # derived from the objective, never set
             TrainConfig(objective="bce", domain_setting="multi")
-        with pytest.raises(ConfigError):
-            TrainConfig(objective="ce", domain_setting="binary")
+        with pytest.raises(AttributeError):
+            TrainConfig().domain_setting = "binary"
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(objective="hinge")
-
-    def test_paper_scale_learning_rates(self):
-        cfg = TrainConfig.paper_scale()
-        assert (cfg.eta, cfg.alpha, cfg.beta) == (PAPER_ETA, PAPER_ALPHA, PAPER_BETA)
 
     def test_lr_by_group_covers_three_groups(self):
         lrs = TrainConfig(eta=1.0, alpha=2.0, beta=3.0).lr_by_group()
@@ -165,7 +160,7 @@ class TestBuildDomainLoss:
         mcfg = ModelConfig(input_dim=64, hidden_dim=16, feature_dim=8,
                            n_classes=4, n_domains=3, domain_setting="binary")
         model = DannModel(mcfg, seed=2)
-        cfg = small_cfg(objective="bce", domain_setting="binary")
+        cfg = small_cfg(objective="bce")
         tape = Tape()
         pooled = self._pooled(model, small_splits, tape)
         doms = domain_indices(small_splits.T[:4], "binary")
