@@ -93,7 +93,8 @@ class Tape:
             raise DimensionError(
                 f"linear: x{xv.shape} incompatible with W{Wv.shape}, b{bv.shape}"
             )
-        out = xv @ Wv + bv
+        out = xv @ Wv
+        out += bv  # in place: one fresh array per layer, not two
 
         def backward(g):
             return (g @ Wv.T, xv.T @ g, g.sum(axis=0))
@@ -102,7 +103,7 @@ class Tape:
 
     def relu(self, x: Node) -> Node:
         mask = x.value > 0.0
-        return self._record(x.value * mask, (x,), lambda g: (g * mask,))
+        return self._record(np.maximum(x.value, 0.0), (x,), lambda g: (g * mask,))
 
     def sigmoid(self, x: Node) -> Node:
         out = 1.0 / (1.0 + np.exp(-x.value))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import multiprocessing
 import os
@@ -238,18 +239,26 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def blas_function(name: str, restype, argtypes):
-    """OpenBLAS's ``openblas_<name>`` from the library numpy loaded, through ctypes; None if absent."""
+@functools.cache
+def _openblas_libraries() -> tuple:
+    """The OpenBLAS libraries numpy loaded, opened through ctypes once per process."""
     try:
         with open("/proc/self/maps") as f:
-            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
     except OSError:
-        return None
-    for path in libs:
+        return ()
+    libs = []
+    for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return tuple(libs)
+
+
+def blas_function(name: str, restype, argtypes):
+    """OpenBLAS's ``openblas_<name>`` from the library numpy loaded, through ctypes; None if absent."""
+    for lib in _openblas_libraries():
         for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
                     f"openblas_{name}64_", f"openblas_{name}"):
             fn = getattr(lib, sym, None)
@@ -257,6 +266,41 @@ def blas_function(name: str, restype, argtypes):
                 fn.restype, fn.argtypes = restype, argtypes
                 return fn
     return None
+
+
+@functools.cache
+def libc_mallopt():
+    """The C library's ``mallopt``, looked up once per process through ctypes; None if absent."""
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no dlopen(NULL)
+        return None
+    fn.restype, fn.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    return fn
+
+
+# glibc's mallopt parameters (malloc.h) and the values keep_freed_memory gives them
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES = 32 << 20  # as high as glibc's dynamic threshold goes on 64-bit
+TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def keep_freed_memory():
+    """Make the C allocator keep freed blocks of up to 32 MiB in this process, from now on.
+
+    A training step's tape holds dozens of 0.8-1.6 MB arrays.  With glibc's
+    dynamic thresholds, the heap top they leave free when the tape is dropped
+    is trimmed back to the OS, and the next step page-faults all of it in
+    again.  Fixed thresholds (blocks under 32 MiB come from the heap, whose
+    free top is trimmed only beyond 64 MiB) keep those pages.  The setting is
+    not undone: glibc cannot turn its dynamic thresholds back on, and its
+    128 KiB defaults would fault more than the dynamic ones.  It changes no
+    result.  Does nothing where libc has no ``mallopt``.
+    """
+    mallopt = libc_mallopt()
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 _worker_job = None  # (fn, items), set once in each pool worker by _start_worker
@@ -274,12 +318,14 @@ def _run_item(i: int):
 
 
 @contextmanager
-def one_blas_thread():
-    """Hold OpenBLAS at one thread inside the block and restore the count after.
+def one_blas_thread_and_kept_memory():
+    """Hold OpenBLAS at one thread inside the block, and ``keep_freed_memory`` for good.
 
-    Yields the thread setter, or None (and changes nothing) when OpenBLAS's
-    getter or setter is not found.
+    The BLAS thread count is restored after the block; the allocator setting
+    is not.  Yields the thread setter, or None (and leaves the thread count
+    alone) when OpenBLAS's getter or setter is not found.
     """
+    keep_freed_memory()
     get = blas_function("get_num_threads", ctypes.c_int, [])
     set_threads = blas_function("set_num_threads", None, [ctypes.c_int])
     if get is None or set_threads is None:
@@ -306,13 +352,14 @@ def parallel_map(fn, items, jobs: int) -> list:
     has no ``fork``, when no OpenBLAS thread setter is found (so workers could
     not be kept from oversubscribing the CPUs), or when other Python threads
     are running (forking them is unsafe).  In-process items also run with one
-    BLAS thread, so results do not depend on the worker count.
+    BLAS thread, so results do not depend on the worker count.  Both kinds of
+    item run after ``keep_freed_memory``, which stays in force after the map.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
     workers = min(jobs, len(items), usable_cpus())
-    with one_blas_thread() as set_threads:
+    with one_blas_thread_and_kept_memory() as set_threads:
         if (workers < 2 or set_threads is None
                 or "fork" not in multiprocessing.get_all_start_methods()
                 or threading.active_count() > 1):

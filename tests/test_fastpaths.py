@@ -10,13 +10,17 @@ import functools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from datforge import pipeline
 from datforge.cli import EXIT_RUNTIME, main
@@ -123,6 +127,38 @@ def test_mean_pool_segments_rejects_empty_segments(lengths):
 
 
 # ---------------------------------------------------------------------------
+# tape: bias added in place and relu through np.maximum vs the plain expressions
+# ---------------------------------------------------------------------------
+
+# finite values, with negatives, exact zeros of both signs and subnormals
+VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 40), k=st.integers(1, 12), m=st.integers(1, 12))
+def test_linear_matches_matmul_plus_bias(data, rows, k, m):
+    x = data.draw(arrays(np.float64, (rows, k), elements=VALUES))
+    W = data.draw(arrays(np.float64, (k, m), elements=VALUES))
+    b = data.draw(arrays(np.float64, m, elements=VALUES))
+    tape = Tape()
+    out = tape.linear(tape.const(x), tape.const(W), tape.const(b))
+    assert np.array_equal(out.value, x @ W + b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 40), st.integers(1, 12)))
+def test_relu_matches_masked_product(data, shape):
+    x = data.draw(arrays(np.float64, shape, elements=VALUES))
+    g = data.draw(arrays(np.float64, shape, elements=VALUES))
+    tape = Tape()
+    out = tape.relu(tape.const(x))
+    assert np.array_equal(out.value, x * (x > 0))
+    (gx,) = out.backward_fn(g)
+    assert np.array_equal(gx, g * (x > 0))
+
+
+# ---------------------------------------------------------------------------
 # model: pool before the extractor's last layer vs pool after it
 # ---------------------------------------------------------------------------
 
@@ -190,6 +226,43 @@ def test_parallel_map_runs_every_item_with_one_blas_thread(jobs):
     in_parent = [pid == os.getpid() for _v, pid, _t in out]
     assert all(in_parent) if jobs == 1 else not any(in_parent)
     assert blas_threads() == before
+
+
+# One item allocates and frees x @ W + b on a 3136 x 64 frame batch 50 times,
+# as the extractor's first layer does each step, and prints its minor page
+# faults.  With glibc's dynamic thresholds the freed heap top is trimmed, and
+# every cycle faults about 750 pages back in.
+FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from datforge.pipeline import parallel_map
+
+def faults_of_50_cycles(_item):
+    rng = np.random.default_rng(0)
+    x, W, b = rng.normal(size=(3136, 64)), rng.normal(size=(64, 64)), rng.normal(size=64)
+    y = x @ W + b  # the first cycle may grow the heap
+    del y
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        y = x @ W + b
+        del y
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+print(*parallel_map(faults_of_50_cycles, range(2), int(sys.argv[1])))
+"""
+
+
+@pytest.mark.skipif(pipeline.libc_mallopt() is None, reason="libc has no mallopt")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_parallel_map_items_keep_freed_memory(jobs):
+    # a fresh interpreter, because the setting outlives a map: this one may have it already
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(jobs)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    faults = [int(f) for f in out.stdout.split()]
+    assert len(faults) == 2 and max(faults) < 200, faults
 
 
 def _fail_late_at_zero(x):
