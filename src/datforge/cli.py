@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from .distort import (
     write_manifest,
     write_wav,
 )
-from .errors import ConfigError, DatforgeError, FormatError
+from .errors import ConfigError, DatforgeError, FormatError, require_count, require_positive
 from .pipeline import ExperimentManifest, run_experiment, run_probe, run_sweep, usable_cpus
 
 EXIT_OK = 0
@@ -100,6 +101,11 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_distort(args) -> int:
+    if not math.isfinite(args.snr):
+        raise ConfigError(f"--snr must be a finite number of dB, got {args.snr}")
+    if args.t60 is not None:
+        require_positive("--t60", args.t60)
+    require_count("--seed", args.seed, 0)
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     if not in_dir.is_dir():
         raise ConfigError(f"input directory not found: {in_dir}")
@@ -168,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--kind", default="mixed",
                         choices=["mixed", ADDITIVE_BANK, GAUSSIAN, REVERB])
     p_dist.add_argument("--snr", type=float, default=15.0, help="SNR in dB for additive kinds")
-    p_dist.add_argument("--t60", type=float, default=None, help="reverb decay in seconds")
+    p_dist.add_argument("--t60", type=float, default=None, help="reverb decay in seconds, > 0")
     p_dist.add_argument("--seed", type=int, default=0)
     p_dist.set_defaults(fn=_cmd_distort)
     return parser

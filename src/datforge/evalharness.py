@@ -12,8 +12,8 @@ import numpy as np
 
 from .distort import CorpusSplit, LabeledClip
 from .errors import ConfigError
-from .gradcore import Optimizer, Parameter, Tape
-from .models import DannModel
+from .gradcore import Optimizer, Tape
+from .models import DannModel, Head
 from .objectives import task_loss
 from .trainer import StageResult, domain_indices, features_of
 
@@ -68,7 +68,7 @@ class ProbeConfig:
 
 def domain_probe(model: DannModel, splits: CorpusSplit,
                  probe_cfg: ProbeConfig | None = None) -> DomainProbeResult:
-    """Train a fresh pool+linear domain classifier on frozen features.
+    """Train a fresh domain ``Head`` on frozen, mean-pooled features.
 
     Lower held-out probe accuracy means more domain-invariant features.
     The extractor is only read, never updated.  The probe always tells every
@@ -88,21 +88,18 @@ def domain_probe(model: DannModel, splits: CorpusSplit,
     n_hold = max(1, int(len(doms) * PROBE_HOLDOUT))
     hold, train = perm[:n_hold], perm[n_hold:]
 
-    d = x.shape[1]
-    w = Parameter(rng.normal(0.0, 1.0 / np.sqrt(d), (d, n_dom)), "aux", "probe.W")
-    b = Parameter(np.zeros(n_dom), "aux", "probe.b")
-    opt = Optimizer([w, b], {"aux": PROBE_LR})
+    head = Head(rng, x.shape[1], n_dom, "aux", "probe")
+    opt = Optimizer(head.parameters(), {"aux": PROBE_LR})
     losses = []
     for _ in range(cfg.epochs):
         tape = Tape()
-        logits = tape.linear(tape.const(x[train]), tape.param(w), tape.param(b))
-        loss = task_loss(tape, logits, doms[train])
+        loss = task_loss(tape, head.forward_pooled(tape, tape.const(x[train])), doms[train])
         tape.backward(loss)
         opt.step()
         losses.append(float(loss.value))
     tail = losses[-10:]
     converged = (max(tail) - min(tail)) < PROBE_PLATEAU
-    hold_logits = x[hold] @ w.value + b.value
+    hold_logits = x[hold] @ head.w.value + head.b.value
     acc = float(np.mean(np.argmax(hold_logits, axis=1) == doms[hold]))
     return DomainProbeResult(acc, 1.0 / n_dom, converged, losses)
 

@@ -1,13 +1,12 @@
 """The adversarial triad: feature extractor, label predictor, domain classifier.
 
-The extractor is a position-wise MLP over framed log-band features; both
-heads mean-pool over time and apply one linear layer.  The domain head
-optionally routes its input through the gradient reversal node.
+The extractor is a position-wise MLP over framed log-band features, mean-pooled
+over time; both heads are a ``Head``, one linear layer on the pooled features.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,43 +81,17 @@ class FeatureExtractor:
         return self.forward(tape, tape.const(frames)).value
 
 
-class LabelPredictor:
-    """Mean-pool over time, then one linear layer to class logits."""
+class Head:
+    """One linear layer on mean-pooled features: the label, domain and probe heads."""
 
-    def __init__(self, cfg: ModelConfig, rng):
-        self.cfg = cfg
-        self.w, self.b = _init_linear(rng, cfg.feature_dim, cfg.n_classes, LABEL_PREDICTOR, "y.out")
+    def __init__(self, rng, din: int, dout: int, group: str, name: str):
+        self.w, self.b = _init_linear(rng, din, dout, group, name)
 
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
 
     def forward_pooled(self, tape: Tape, pooled: Node) -> Node:
         return tape.linear(pooled, tape.param(self.w), tape.param(self.b))
-
-
-class DomainClassifier:
-    """Gradient-reversed mean-pooled features into one linear layer.
-
-    ``lam=None`` is probe mode: same forward, no reversal recorded.
-    """
-
-    def __init__(self, cfg: ModelConfig, rng):
-        self.cfg = cfg
-        self.w, self.b = _init_linear(
-            rng, cfg.feature_dim, cfg.domain_out_dim, DOMAIN_CLASSIFIER, "d.out"
-        )
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w, self.b]
-
-    def forward_pooled(self, tape: Tape, pooled: Node, lam: float | None,
-                       detach_head: bool = False) -> Node:
-        if lam is not None:
-            pooled = tape.grad_reverse(pooled, lam)
-        w, b = tape.param(self.w), tape.param(self.b)
-        if detach_head:
-            w, b = tape.stop_gradient(w), tape.stop_gradient(b)
-        return tape.linear(pooled, w, b)
 
 
 class DannModel:
@@ -129,8 +102,8 @@ class DannModel:
         self.seed = seed
         rng = np.random.default_rng(seed)
         self.extractor = FeatureExtractor(cfg, rng)
-        self.label_head = LabelPredictor(cfg, rng)
-        self.domain_head = DomainClassifier(cfg, rng)
+        self.label_head = Head(rng, cfg.feature_dim, cfg.n_classes, LABEL_PREDICTOR, "y.out")
+        self.domain_head = Head(rng, cfg.feature_dim, cfg.domain_out_dim, DOMAIN_CLASSIFIER, "d.out")
 
     def parameters(self) -> list[Parameter]:
         return (

@@ -24,7 +24,7 @@ from .distort import (
     synth_corpus,
     write_manifest,
 )
-from .errors import ConfigError
+from .errors import ConfigError, require_count, require_positive
 from .evalharness import (
     MetricsReport,
     ProbeConfig,
@@ -38,6 +38,7 @@ from .models import ModelConfig
 from .trainer import (
     CONTINUAL_STAGES,
     DEFAULT_LAMBDA_GRID,
+    OBJECTIVES,
     REPORTED_LAMBDAS,
     STAGES,
     StageResult,
@@ -73,10 +74,8 @@ class CorpusSpec:
         if self.type != "synthetic":
             raise ConfigError(f"unsupported corpus type {self.type!r}")
         for name, least in (("classes", 2), ("n_per_class", 1), ("test_n_per_class", 1),
-                            ("continual_n_per_class", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ConfigError(f"corpus {name} must be an integer >= {least}, got {value!r}")
+                            ("continual_n_per_class", 1), ("seed", 0)):
+            require_count(f"corpus {name}", getattr(self, name), least)
         if self.classes * self.n_per_class < MIN_SPLIT_CLIPS:
             raise ConfigError(f"corpus has {self.classes * self.n_per_class} training clips "
                               f"(classes x n_per_class), fewer than {MIN_SPLIT_CLIPS}")
@@ -122,10 +121,12 @@ class SweepSpec:
     objective: str = "ce"
 
     def __post_init__(self):
-        if not self.lambdas or not all(isinstance(l, (int, float)) and l > 0
-                                       for l in self.lambdas):
-            raise ConfigError(f"sweep lambdas must be a non-empty list of numbers > 0, "
-                              f"got {self.lambdas!r}")
+        if self.objective not in OBJECTIVES:
+            raise ConfigError(f"unknown sweep objective {self.objective!r}")
+        if not isinstance(self.lambdas, list) or not self.lambdas:
+            raise ConfigError(f"sweep lambdas must be a non-empty list, got {self.lambdas!r}")
+        for lam in self.lambdas:
+            require_positive("sweep lambda", lam)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepSpec":
@@ -143,6 +144,8 @@ class ExperimentManifest:
     output_dir: str = "datforge-out"
 
     def __post_init__(self):
+        require_count("seed", self.seed, 0)
+        require_count("splits_seed", self.splits_seed, 0)
         if self.sweep is not None and all(s.stage != self.sweep.stage for s in self.stages):
             raise ConfigError(f"sweep stage {self.sweep.stage!r} has no entry in the "
                               f"manifest's stages")

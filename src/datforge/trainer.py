@@ -17,7 +17,7 @@ import numpy as np
 
 from . import objectives
 from .distort import ContinualClip, CorpusSplit, LabeledClip, TargetClip, derive_seed, featurize
-from .errors import ConfigError, DatforgeError
+from .errors import ConfigError, DatforgeError, require_count, require_positive
 from .gradcore import (
     DOMAIN_CLASSIFIER,
     FEATURE_EXTRACTOR,
@@ -52,6 +52,11 @@ class TrainConfig:
     optimizer: str = "adam"  # "sgd" exists to make the update equations literally testable
 
     def __post_init__(self):
+        for name in ("eta", "alpha", "beta", "grl_lambda"):
+            require_positive(name, getattr(self, name))
+        for name, least in (("epochs", 0), ("continual_epochs", 0), ("batch_size", 1),
+                            ("seed", 0)):
+            require_count(name, getattr(self, name), least)
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.optimizer not in ("adam", "sgd"):
@@ -126,31 +131,32 @@ def _one_hot(indices: np.ndarray, n: int) -> np.ndarray:
 
 def build_domain_loss(tape: Tape, model: DannModel, pooled, domains: np.ndarray,
                       cfg: TrainConfig, adversarial: bool = True):
-    """Domain loss over pooled features; reversal sits on the feature path only.
+    """Domain loss over pooled features, reversed on the feature path when ``adversarial``.
 
     Under the entropy objective the domain head itself is still trained by
     cross entropy on true domain labels (an entropy-trained head would
     collapse), while the extractor receives the reversed entropy gradient
-    through a gradient-stopped copy of the head.
+    through gradient-stopped head parameters.
     """
-    lam = cfg.grl_lambda if adversarial else None
+    head = model.domain_head
+    if cfg.objective == "entropy":
+        head_logits = head.forward_pooled(tape, tape.stop_gradient(pooled))
+        onehot = _one_hot(domains, model.cfg.domain_out_dim)
+        ce_loss = objectives.ce_domain_loss(tape, tape.softmax_rows(head_logits), onehot)
+        if not adversarial:
+            return ce_loss
+        reversed_pooled = tape.grad_reverse(pooled, cfg.grl_lambda)
+        w, b = tape.param(head.w), tape.param(head.b)
+        adv_logits = tape.linear(reversed_pooled, tape.stop_gradient(w), tape.stop_gradient(b))
+        ent_loss = objectives.entropy_domain_loss(tape, tape.softmax_rows(adv_logits))
+        return tape.add(ce_loss, ent_loss)
+    if adversarial:
+        pooled = tape.grad_reverse(pooled, cfg.grl_lambda)
+    logits = head.forward_pooled(tape, pooled)
     if cfg.objective == "bce":
-        logits = model.domain_head.forward_pooled(tape, pooled, lam)
         return objectives.bce_domain_loss(tape, tape.sigmoid(logits), domains.astype(float))
-    n_dom = model.cfg.domain_out_dim
-    onehot = _one_hot(domains, n_dom)
-    if cfg.objective == "ce":
-        logits = model.domain_head.forward_pooled(tape, pooled, lam)
-        return objectives.ce_domain_loss(tape, tape.softmax_rows(logits), onehot)
-    # entropy: CE through a feature-detached path trains the head; the reversed
-    # entropy term reaches the extractor through a head-detached path
-    head_logits = model.domain_head.forward_pooled(tape, tape.stop_gradient(pooled), None)
-    ce_loss = objectives.ce_domain_loss(tape, tape.softmax_rows(head_logits), onehot)
-    if lam is None:
-        return ce_loss
-    adv_logits = model.domain_head.forward_pooled(tape, pooled, lam, detach_head=True)
-    ent_loss = objectives.entropy_domain_loss(tape, tape.softmax_rows(adv_logits))
-    return tape.add(ce_loss, ent_loss)
+    onehot = _one_hot(domains, model.cfg.domain_out_dim)
+    return objectives.ce_domain_loss(tape, tape.softmax_rows(logits), onehot)
 
 
 def dat_step(model: DannModel, clean_feats: list[np.ndarray], clean_labels: np.ndarray,

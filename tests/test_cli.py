@@ -148,6 +148,50 @@ class TestManifestParsing:
                    continual_n_per_class=c.continual_n_per_class // scale)
         CorpusSpec(classes=c.classes, n_per_class=3, test_n_per_class=2, continual_n_per_class=2)
 
+    # (part of TINY_MANIFEST changed, the change, the error's message)
+    BAD_SETTINGS = [
+        ("stage", {"batch_size": 0}, "batch_size must be an integer >= 1, got 0"),
+        ("stage", {"batch_size": True}, "batch_size must be an integer >= 1, got True"),
+        ("stage", {"epochs": 1.5}, "epochs must be an integer >= 0, got 1.5"),
+        ("stage", {"epochs": -1}, "epochs must be an integer >= 0, got -1"),
+        ("stage", {"continual_epochs": -2}, "continual_epochs must be an integer >= 0, got -2"),
+        ("stage", {"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ("stage", {"lambda": 0}, "grl_lambda must be a finite number > 0, got 0"),
+        ("stage", {"eta": "fast"}, "eta must be a finite number > 0, got 'fast'"),
+        ("stage", {"alpha": float("nan")}, "alpha must be a finite number > 0, got nan"),
+        ("stage", {"beta": 1e400}, "beta must be a finite number > 0, got inf"),
+        ("manifest", {"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ("manifest", {"splits_seed": 2.5}, "splits_seed must be an integer >= 0, got 2.5"),
+        ("manifest", {"splits_seed": False}, "splits_seed must be an integer >= 0, got False"),
+        ("corpus", {"seed": -3}, "corpus seed must be an integer >= 0, got -3"),
+        ("sweep", {"lambdas": [1e-2, 1e400]}, "sweep lambda must be a finite number > 0, got inf"),
+        ("sweep", {"lambdas": 0.1}, "sweep lambdas must be a non-empty list, got 0.1"),
+        ("sweep", {"objective": "hinge"}, "unknown sweep objective 'hinge'"),
+    ]
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    @pytest.mark.parametrize("part, change, message", BAD_SETTINGS)
+    def test_bad_settings_rejected_before_any_output(self, tmp_path, capsys, command, dry_run,
+                                                     part, change, message):
+        if part == "stage":
+            changes = {"stages": [TINY_MANIFEST["stages"][0],
+                                  dict(TINY_MANIFEST["stages"][1], **change)]}
+        elif part == "manifest":
+            changes = change
+        else:
+            changes = {part: dict(TINY_MANIFEST[part], **change)}
+        path = _write_manifest(tmp_path, **changes)
+        assert main([command, "--manifest", str(path), *dry_run]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
+    def test_negative_seed_override_rejected(self, manifest_path, tmp_path, capsys, command):
+        assert main([command, "--manifest", str(manifest_path), "--seed", "-1"]) == EXIT_CONFIG
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def _reference_standard_manifest(seed: int) -> ExperimentManifest:
     """The Python literal that defined ``standard_manifest`` before ``manifests/standard.json`` did."""
@@ -423,6 +467,28 @@ class TestDistortCommand:
 
     def test_missing_input_dir_exit_config(self, tmp_path):
         assert main(["distort", str(tmp_path / "nope"), str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--snr", "nan"], "--snr must be a finite number of dB, got nan"),
+        (["--snr", "inf"], "--snr must be a finite number of dB, got inf"),
+        (["--snr=-inf"], "--snr must be a finite number of dB, got -inf"),
+        (["--t60", "0"], "--t60 must be a finite number > 0, got 0.0"),
+        (["--t60=-1"], "--t60 must be a finite number > 0, got -1.0"),
+        (["--t60", "nan"], "--t60 must be a finite number > 0, got nan"),
+        (["--t60", "inf"], "--t60 must be a finite number > 0, got inf"),
+        (["--seed=-1"], "--seed must be an integer >= 0, got -1"),
+    ])
+    def test_bad_flags_rejected_before_output(self, wav_dir, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        assert main(["distort", str(wav_dir), str(out), *flags]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_snr_is_a_valid_setting(self, wav_dir, tmp_path):
+        out = tmp_path / "o"
+        assert main(["distort", str(wav_dir), str(out), "--kind", "gaussian",
+                     "--snr", "-5"]) == EXIT_OK
+        assert len(list(out.glob("*.wav"))) == 4
 
 
 def test_datforge_out_env_var(tmp_path, monkeypatch):

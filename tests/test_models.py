@@ -5,9 +5,8 @@ from datforge.errors import ConfigError, FormatError
 from datforge.gradcore import Tape
 from datforge.models import (
     DannModel,
-    DomainClassifier,
     FeatureExtractor,
-    LabelPredictor,
+    Head,
     ModelConfig,
     load_checkpoint,
     save_checkpoint,
@@ -63,40 +62,40 @@ class TestFeatureExtractor:
 
 class TestHeads:
     def test_label_predictor_logit_shape(self, cfg):
-        head = LabelPredictor(cfg, rng=np.random.default_rng(1))
+        head = DannModel(cfg, seed=1).label_head
         tape = Tape()
         out = head.forward_pooled(tape, tape.const(np.zeros((4, cfg.feature_dim))))
         assert out.value.shape == (4, cfg.n_classes)
         assert all(p.group == "label_predictor" for p in head.parameters())
 
     def test_domain_classifier_logit_shape_and_group(self, cfg):
-        head = DomainClassifier(cfg, rng=np.random.default_rng(1))
+        head = DannModel(cfg, seed=1).domain_head
         tape = Tape()
         pooled = tape.const(np.random.default_rng(0).normal(size=(4, cfg.feature_dim)))
-        out = head.forward_pooled(tape, pooled, lam=0.1)
+        out = head.forward_pooled(tape, pooled)
         assert out.value.shape == (4, cfg.domain_out_dim)
         probs = tape.softmax_rows(out)
         assert np.allclose(probs.value.sum(axis=1), 1.0)
         assert all(p.group == "domain_classifier" for p in head.parameters())
 
-    def test_probe_mode_matches_reversed_forward(self, cfg):
-        head = DomainClassifier(cfg, rng=np.random.default_rng(1))
-        pooled_value = np.random.default_rng(0).normal(size=(4, cfg.feature_dim))
-        tape = Tape()
-        with_grl = head.forward_pooled(tape, tape.const(pooled_value), lam=0.1)
-        tape2 = Tape()
-        probe = head.forward_pooled(tape2, tape2.const(pooled_value), lam=None)
-        assert np.array_equal(with_grl.value, probe.value)
-
     def test_binary_domain_classifier_single_output(self):
         cfg = ModelConfig(input_dim=8, feature_dim=4, domain_setting="binary")
-        head = DomainClassifier(cfg, rng=np.random.default_rng(1))
+        head = DannModel(cfg, seed=1).domain_head
         tape = Tape()
         pooled = tape.const(np.random.default_rng(0).normal(size=(4, cfg.feature_dim)))
-        out = head.forward_pooled(tape, pooled, lam=0.1)
+        out = head.forward_pooled(tape, pooled)
         assert out.value.shape == (4, 1)
         p = tape.sigmoid(out)
         assert np.all((p.value > 0) & (p.value < 1))
+
+    def test_head_is_pooled_times_w_plus_b(self, cfg):
+        head = Head(np.random.default_rng(1), cfg.feature_dim, 3, "aux", "probe")
+        assert [(p.name, p.group) for p in head.parameters()] == [("probe.W", "aux"),
+                                                                  ("probe.b", "aux")]
+        pooled = np.random.default_rng(0).normal(size=(4, cfg.feature_dim))
+        tape = Tape()
+        out = head.forward_pooled(tape, tape.const(pooled))
+        assert np.array_equal(out.value, pooled @ head.w.value + head.b.value)
 
 
 class TestDannModel:
@@ -123,6 +122,27 @@ class TestDannModel:
         model = DannModel(cfg, seed=0)
         groups = {p.group for p in model.parameters()}
         assert groups == {"feature_extractor", "label_predictor", "domain_classifier"}
+
+    @pytest.mark.parametrize("setting, domain_out", [("multi", 3), ("binary", 1)])
+    def test_parameter_layout_is_pinned(self, cfg, setting, domain_out):
+        # the order, names, groups and shapes every checkpoint is written and read in
+        model = DannModel(ModelConfig(input_dim=8, hidden_dim=6, feature_dim=4, n_classes=3,
+                                      n_domains=2, domain_setting=setting), seed=0)
+        fx, y, d = "feature_extractor", "label_predictor", "domain_classifier"
+        assert [(p.name, p.group, p.value.shape) for p in model.parameters()] == [
+            ("f.l1.W", fx, (8, 6)), ("f.l1.b", fx, (6,)),
+            ("f.l2.W", fx, (6, 6)), ("f.l2.b", fx, (6,)),
+            ("f.l3.W", fx, (6, 4)), ("f.l3.b", fx, (4,)),
+            ("y.out.W", y, (4, 3)), ("y.out.b", y, (3,)),
+            ("d.out.W", d, (4, domain_out)), ("d.out.b", d, (domain_out,)),
+        ]
+        rng = np.random.default_rng(0)  # one generator, drawn layer by layer in that order
+        for p in model.parameters():
+            if p.name.endswith(".W"):
+                expected = rng.normal(0.0, 1.0 / np.sqrt(p.value.shape[0]), p.value.shape)
+            else:
+                expected = np.zeros(p.value.shape)
+            assert np.array_equal(p.value, expected), p.name
 
     def test_group_selector(self, cfg):
         model = DannModel(cfg, seed=0)

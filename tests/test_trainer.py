@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from datforge import pipeline, trainer
 from datforge.errors import ConfigError, DatforgeError, PolicyError
 from datforge.gradcore import Optimizer, Tape
 from datforge.models import DannModel, ModelConfig
-from datforge.objectives import task_loss
+from datforge.objectives import entropy_domain_loss, task_loss
 from datforge.pipeline import ExperimentManifest, SweepSpec, run_sweep
 from datforge.trainer import (
     DEFAULT_LAMBDA_GRID,
@@ -71,19 +73,24 @@ class TestDomainIndices:
 class TestSgdEquations:
     """SGD-mode deltas must realize the coupled update equations literally."""
 
-    @pytest.mark.parametrize("lam", [1e-2, 1e-3])
-    def test_deltas_match_equations(self, small_splits, lam):
+    @pytest.mark.parametrize("objective, lam", [
+        ("ce", 1e-2), ("ce", 1e-3),  # multi-domain model
+        ("bce", 1e-2), ("bce", 1e-3),  # binary-domain model
+    ], ids=["0.01", "0.001", "bce-0.01", "bce-0.001"])
+    def test_deltas_match_equations(self, small_splits, objective, lam):
         eta, alpha, beta = 1e-3, 2e-3, 3e-3
-        cfg = small_cfg(eta=eta, alpha=alpha, beta=beta, grl_lambda=lam, optimizer="sgd")
+        cfg = small_cfg(eta=eta, alpha=alpha, beta=beta, grl_lambda=lam, optimizer="sgd",
+                        objective=objective)
         s_feats = features_of(small_splits.S[:4])
         s_labels = np.array([c.label for c in small_splits.S[:4]])
         t_feats = features_of(small_splits.T[:4])
-        t_domains = domain_indices(small_splits.T[:4], "multi")
+        t_domains = domain_indices(small_splits.T[:4], cfg.domain_setting)
+        model_cfg = replace(SMALL_MODEL, domain_setting=cfg.domain_setting)
 
         def fresh():
-            return DannModel(SMALL_MODEL, seed=3)
+            return DannModel(model_cfg, seed=3)
 
-        # reference gradients from two separate probe-mode backward passes
+        # reference gradients from two separate backward passes without the reversal
         ref = fresh()
         tape = Tape()
         pooled_c = ref.forward_pooled_features(tape, s_feats)
@@ -178,6 +185,36 @@ class TestBuildDomainLoss:
         fx_grads = [np.abs(p.grad).max() for p in model.extractor.parameters()]
         assert max(head_grads) > 0
         assert max(fx_grads) > 0
+
+    # powers of two, so that scaling a gradient by -lambda is exact in floating point
+    @pytest.mark.parametrize("lam", [2.0**-7, 2.0**-10])
+    def test_entropy_split_is_exact(self, small_splits, lam):
+        cfg = small_cfg(objective="entropy", grl_lambda=lam)
+        doms = domain_indices(small_splits.T[:4], "multi")
+
+        def grads(loss_fn):
+            model = DannModel(SMALL_MODEL, seed=2)
+            tape = Tape()
+            tape.backward(loss_fn(model, tape, self._pooled(model, small_splits, tape)))
+            return model, {p.name: p.grad.copy() for p in model.parameters()}
+
+        model, adv = grads(lambda m, tape, pooled: build_domain_loss(tape, m, pooled, doms, cfg))
+        _, ce = grads(lambda m, tape, pooled: build_domain_loss(tape, m, pooled, doms, cfg,
+                                                                adversarial=False))
+
+        def entropy_through_constant_head(m, tape, pooled):
+            w, b = tape.const(m.domain_head.w.value), tape.const(m.domain_head.b.value)
+            return entropy_domain_loss(tape, tape.softmax_rows(tape.linear(pooled, w, b)))
+
+        _, ent = grads(entropy_through_constant_head)
+        for p in model.parameters():
+            if p.group == "domain_classifier":  # the head descends its CE loss only
+                assert np.any(adv[p.name] != 0.0) and np.array_equal(adv[p.name], ce[p.name])
+            elif p.group == "feature_extractor":  # the extractor gets the reversed entropy only
+                assert np.any(adv[p.name] != 0.0) and not np.any(ce[p.name])
+                assert np.array_equal(adv[p.name], -lam * ent[p.name]), p.name
+            else:
+                assert not np.any(adv[p.name]), p.name
 
 
 class TestSupervisedAndStages:
