@@ -54,9 +54,10 @@ def _print_plan(args, manifest: ExperimentManifest, out_dir: Path):
     print(f"manifest: {args.manifest}")
     print(f"output_dir: {out_dir}")
     print(f"corpus: {vars(manifest.corpus)}")
-    for spec in manifest.stages:
-        print(f"stage: {spec.stage} seed={spec.config.seed} "
-              f"objective={spec.config.objective} lambda={spec.config.grl_lambda:g}")
+    for spec in manifest.stages:  # each stage with the settings it reads, seed first
+        settings = {k: v for k, v in spec.to_dict().items() if k != "stage"}
+        print(f"stage: {spec.stage} " + " ".join(
+            f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in settings.items()))
 
 
 def _cmd_run(args) -> int:

@@ -75,7 +75,6 @@ class DistortionSpec:
     seed: int
     snr_db: float | None = None
     ir_id: float | None = None  # reverb decay T60 in seconds
-    family: str | None = None  # additive noise family name
 
     def __post_init__(self):
         if self.kind not in (*TRAIN_KINDS, CLEAN):
@@ -221,7 +220,7 @@ def _am_narrowband(n, sr, rng):
 
 
 def _with_broadband_bed(gen):
-    # each family keeps its character on top of a broadband bed, like real
+    # each generator keeps its character on top of a broadband bed, like real
     # recorded noise; purely narrowband noise would leave most feature bands
     # at the silence floor
     def wrapped(n, sr, rng):
@@ -247,8 +246,8 @@ class ProceduralNoiseBank:
     def draw(self, pool: str, n: int, sr: int, seed: int) -> tuple[np.ndarray, str]:
         families = TRAIN_NOISE_FAMILIES if pool == "train" else UNSEEN_NOISE_FAMILIES
         rng = np.random.default_rng(seed)
-        family = families[int(rng.integers(len(families)))]
-        return _NOISE_GENERATORS[family](n, sr, rng), family
+        name = families[int(rng.integers(len(families)))]
+        return _NOISE_GENERATORS[name](n, sr, rng), name
 
 
 class WavNoiseBank:
@@ -350,7 +349,7 @@ def apply_spec(clean: Waveform, spec: DistortionSpec, bank=None, pool: str = "tr
         return add_gaussian(clean, spec.snr_db, spec.seed)
     if spec.kind == ADDITIVE_BANK:
         bank = bank or ProceduralNoiseBank()
-        noise, _family = bank.draw(pool, clean.samples.size, clean.sample_rate, spec.seed)
+        noise, _name = bank.draw(pool, clean.samples.size, clean.sample_rate, spec.seed)
         return mix_at_snr(clean, noise, spec.snr_db)
     ir = make_impulse_response(spec.ir_id, spec.seed, clean.sample_rate)
     return apply_reverb(clean, ir)

@@ -289,7 +289,3 @@ class Optimizer:
                 v_hat = self._v[i] / (1.0 - ADAM_BETA2**self.t)
                 p.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.zero_grad()
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()

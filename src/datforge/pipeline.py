@@ -10,7 +10,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .distort import (
@@ -37,9 +37,11 @@ from .evalharness import (
 from .models import ModelConfig
 from .trainer import (
     CONTINUAL_STAGES,
+    DAT_STAGES,
     DEFAULT_LAMBDA_GRID,
     OBJECTIVES,
     REPORTED_LAMBDAS,
+    STAGE_FIELDS,
     STAGES,
     StageResult,
     TrainConfig,
@@ -54,7 +56,9 @@ RUN_FILES = ("report.csv", "report.json", "manifest.json", "training_log.csv",
              *(f"{stage}{end}" for stage in STAGES for end in (".ckpt", "_continual.ckpt")))
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str):
+def _check_keys(obj, allowed: set[str], where: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown manifest key(s) in {where}: {sorted(unknown)}")
@@ -62,7 +66,6 @@ def _check_keys(obj: dict, allowed: set[str], where: str):
 
 @dataclass
 class CorpusSpec:
-    type: str = "synthetic"
     classes: int = 4
     n_per_class: int = 100
     test_n_per_class: int = 25
@@ -71,8 +74,6 @@ class CorpusSpec:
     noise_wav_dir: str | None = None
 
     def __post_init__(self):
-        if self.type != "synthetic":
-            raise ConfigError(f"unsupported corpus type {self.type!r}")
         for name, least in (("classes", 2), ("n_per_class", 1), ("test_n_per_class", 1),
                             ("continual_n_per_class", 1), ("seed", 0)):
             require_count(f"corpus {name}", getattr(self, name), least)
@@ -86,9 +87,10 @@ class CorpusSpec:
         return cls(**obj)
 
 
-# a stage entry's keys are TrainConfig's field names, except that grl_lambda is "lambda"
-_FIELD_TO_KEY = {"grl_lambda": "lambda"}
-_KEY_TO_FIELD = {key: name for name, key in _FIELD_TO_KEY.items()}
+# a stage entry's keys, each mapped to its TrainConfig field: the fields the stage reads,
+# with grl_lambda named "lambda"
+STAGE_KEYS = {stage: {("lambda" if f == "grl_lambda" else f): f for f in names}
+              for stage, names in STAGE_FIELDS.items()}
 
 
 @dataclass
@@ -98,20 +100,25 @@ class StageSpec:
 
     @classmethod
     def from_dict(cls, obj: dict, default_seed: int) -> "StageSpec":
-        allowed = {_FIELD_TO_KEY.get(f.name, f.name) for f in fields(TrainConfig)}
-        _check_keys(obj, allowed | {"stage"}, "stages[]")
-        if "stage" not in obj:
-            raise ConfigError("each stage entry needs a 'stage' key")
+        if not isinstance(obj, dict) or "stage" not in obj:
+            raise ConfigError(f"each stage entry must be a JSON object with a 'stage' key, "
+                              f"got {obj!r}")
         stage = obj["stage"]
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}; expected one of {STAGES}")
-        kw = {_KEY_TO_FIELD.get(k, k): v for k, v in obj.items() if k != "stage"}
+        keys = STAGE_KEYS[stage]
+        unread = sorted(set(obj) - {"stage", *keys})
+        if unread:
+            raise ConfigError(f"stage {stage!r} does not read {unread}; its entry takes "
+                              f"only 'stage' and {list(keys)}")
+        kw = {keys[k]: v for k, v in obj.items() if k != "stage"}
         kw.setdefault("seed", default_seed)
         return cls(stage, TrainConfig(**kw))
 
     def to_dict(self) -> dict:
+        """The entry as ``from_dict`` reads it: the stage and every setting the stage reads."""
         return {"stage": self.stage,
-                **{_FIELD_TO_KEY.get(k, k): v for k, v in asdict(self.config).items()}}
+                **{k: getattr(self.config, f) for k, f in STAGE_KEYS[self.stage].items()}}
 
 
 @dataclass
@@ -121,6 +128,9 @@ class SweepSpec:
     objective: str = "ce"
 
     def __post_init__(self):
+        if self.stage not in DAT_STAGES:
+            raise ConfigError(f"sweep stage {self.stage!r} reads no lambda; expected one of "
+                              f"{DAT_STAGES}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown sweep objective {self.objective!r}")
         if not isinstance(self.lambdas, list) or not self.lambdas:
@@ -146,6 +156,12 @@ class ExperimentManifest:
     def __post_init__(self):
         require_count("seed", self.seed, 0)
         require_count("splits_seed", self.splits_seed, 0)
+        if not self.stages:
+            raise ConfigError("manifest lists no stages")
+        names = [s.stage for s in self.stages]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ConfigError(f"stage(s) {repeated} have more than one entry")
         if self.sweep is not None and all(s.stage != self.sweep.stage for s in self.stages):
             raise ConfigError(f"sweep stage {self.sweep.stage!r} has no entry in the "
                               f"manifest's stages")
@@ -156,13 +172,15 @@ class ExperimentManifest:
                     "manifest")
         if "corpus" not in obj or "stages" not in obj:
             raise ConfigError("manifest requires 'corpus' and 'stages'")
+        if not isinstance(obj["stages"], list):
+            raise ConfigError(f"stages must be a JSON list, got {obj['stages']!r}")
         seed = obj.get("seed", 1)
         return cls(
             corpus=CorpusSpec.from_dict(obj["corpus"]),
             stages=[StageSpec.from_dict(s, seed) for s in obj["stages"]],
             splits_seed=obj.get("splits_seed", 7),
             seed=seed,
-            sweep=SweepSpec.from_dict(obj["sweep"]) if obj.get("sweep") else None,
+            sweep=SweepSpec.from_dict(obj["sweep"]) if obj.get("sweep") is not None else None,
             output_dir=obj.get("output_dir", "datforge-out"),
         )
 

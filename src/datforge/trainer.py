@@ -31,6 +31,14 @@ from .models import DannModel, ModelConfig
 STAGES = ("baseline", "oracle", "continual_only", "dat_only", "continual_plus_dat")
 DAT_STAGES = ("dat_only", "continual_plus_dat")
 CONTINUAL_STAGES = ("continual_only", "continual_plus_dat")
+# the TrainConfig fields each stage reads: continual pretraining reads continual_epochs,
+# the adversarial phase beta, grl_lambda and objective (which also sets the domain setting)
+STAGE_FIELDS = {
+    stage: ("seed", "eta", "alpha", "epochs", "batch_size")
+    + (("continual_epochs",) if stage in CONTINUAL_STAGES else ())
+    + (("beta", "grl_lambda", "objective") if stage in DAT_STAGES else ())
+    for stage in STAGES
+}
 OBJECTIVES = ("bce", "ce", "entropy")
 DEFAULT_LAMBDA_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 REPORTED_LAMBDAS = (1e-2, 1e-3)
@@ -49,7 +57,6 @@ class TrainConfig:
     continual_epochs: int = 20
     batch_size: int = 16
     seed: int = 0
-    optimizer: str = "adam"  # "sgd" exists to make the update equations literally testable
 
     def __post_init__(self):
         for name in ("eta", "alpha", "beta", "grl_lambda"):
@@ -59,8 +66,6 @@ class TrainConfig:
             require_count(name, getattr(self, name), least)
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
     @property
     def domain_setting(self) -> str:
@@ -196,7 +201,7 @@ def train_supervised(data: list[LabeledClip], model: DannModel, cfg: TrainConfig
     feats = features_of(data)
     labels = np.array([c.label for c in data], dtype=np.int64)
     opt = Optimizer(model.group(FEATURE_EXTRACTOR) + model.group(LABEL_PREDICTOR),
-                    cfg.lr_by_group(), sgd=cfg.optimizer == "sgd")
+                    cfg.lr_by_group())
     rows, step = [], 0
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng(derive_seed(cfg.seed, 10, epoch))
@@ -238,7 +243,7 @@ def continual_pretrain(model: DannModel, continual_set: list[ContinualClip],
     dec_b = Parameter(np.concatenate(targets, axis=0).mean(axis=0), "aux", "dec.b")
     opt = Optimizer(model.group(FEATURE_EXTRACTOR) + [dec_w, dec_b],
                     {**cfg.lr_by_group(), FEATURE_EXTRACTOR: CONTINUAL_LR,
-                     "aux": CONTINUAL_LR}, sgd=cfg.optimizer == "sgd")
+                     "aux": CONTINUAL_LR})
     rows, step = [], 0
     floor = np.log(1e-8)
     for epoch in range(cfg.continual_epochs):
@@ -289,7 +294,7 @@ def train_dat(splits: CorpusSplit, model: DannModel, cfg: TrainConfig,
     s_labels = np.array([c.label for c in splits.S], dtype=np.int64)
     t_feats = features_of(splits.T)
     t_domains = domain_indices(splits.T, cfg.domain_setting)
-    opt = Optimizer(model.parameters(), cfg.lr_by_group(), sgd=cfg.optimizer == "sgd")
+    opt = Optimizer(model.parameters(), cfg.lr_by_group())
     rows, step = [], 0
     steps_per_epoch = max(min(len(splits.S), len(splits.T)) // cfg.batch_size, 1)
     for epoch in range(cfg.epochs):

@@ -168,7 +168,7 @@ def test_criterion_2_update_equations(small_splits):
     t_domains = domain_indices(small_splits.T[:6], "multi")
     eta, alpha, beta = 1e-3, 2e-3, 3e-3
     for lam in (1e-2, 1e-3):
-        cfg = TrainConfig(eta=eta, alpha=alpha, beta=beta, grl_lambda=lam, optimizer="sgd")
+        cfg = TrainConfig(eta=eta, alpha=alpha, beta=beta, grl_lambda=lam)
 
         ref = DannModel(mcfg, seed=11)
         tape = Tape()

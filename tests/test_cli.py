@@ -11,6 +11,7 @@ from datforge.distort import Waveform, read_wav, synth_corpus, write_wav
 from datforge.errors import ConfigError
 from datforge.models import load_checkpoint
 from datforge.pipeline import (
+    STAGE_KEYS,
     CorpusSpec,
     ExperimentManifest,
     StageSpec,
@@ -19,7 +20,7 @@ from datforge.pipeline import (
     run_sweep,
     standard_manifest,
 )
-from datforge.trainer import OBJECTIVES, STAGES
+from datforge.trainer import DAT_STAGES, OBJECTIVES, STAGES
 
 STANDARD_JSON = Path(__file__).resolve().parents[1] / "manifests" / "standard.json"
 
@@ -34,6 +35,12 @@ TINY_MANIFEST = {
     ],
     "sweep": {"lambdas": [1e-1, 1e-2], "stage": "dat_only"},
 }
+
+# a valid value for every stage-entry key some stage reads, and for one no stage reads
+SETTINGS = {"seed": 3, "eta": 1e-3, "alpha": 1e-3, "epochs": 1, "batch_size": 4,
+            "continual_epochs": 7, "beta": 3.0, "lambda": 0.5, "objective": "bce",
+            "optimizer": "sgd"}
+BASELINE, DAT = TINY_MANIFEST["stages"]
 
 
 def _write_manifest(tmp_path, **changes) -> Path:
@@ -91,13 +98,15 @@ class TestManifestParsing:
     @given(st.data())
     def test_to_dict_inverts_from_dict(self, data):
         positive = st.floats(1e-8, 10.0, allow_nan=False, allow_infinity=False)
-        entry = st.fixed_dictionaries({"stage": st.sampled_from(STAGES)}, optional={
+        values = {
             "objective": st.sampled_from(OBJECTIVES), "lambda": positive, "eta": positive,
             "alpha": positive, "beta": positive, "epochs": st.integers(0, 200),
             "continual_epochs": st.integers(0, 50), "batch_size": st.integers(1, 64),
-            "optimizer": st.sampled_from(["adam", "sgd"]), "seed": st.integers(0, 2**31 - 1),
-        })
-        stages = data.draw(st.lists(entry, min_size=1, max_size=5))
+            "seed": st.integers(0, 2**31 - 1),
+        }
+        entry = st.sampled_from(STAGES).flatmap(lambda stage: st.fixed_dictionaries(
+            {"stage": st.just(stage)}, optional={k: values[k] for k in STAGE_KEYS[stage]}))
+        stages = data.draw(st.lists(entry, min_size=1, max_size=5, unique_by=lambda e: e["stage"]))
         obj = {
             "seed": data.draw(st.integers(0, 2**31 - 1)),
             "splits_seed": data.draw(st.integers(0, 2**31 - 1)),
@@ -108,9 +117,10 @@ class TestManifestParsing:
                        "seed": data.draw(st.integers(0, 2**31 - 1))},
             "stages": stages,
         }
-        if data.draw(st.booleans()):
+        adversarial = [e["stage"] for e in stages if e["stage"] in DAT_STAGES]
+        if adversarial and data.draw(st.booleans()):
             obj["sweep"] = {"lambdas": data.draw(st.lists(positive, min_size=1, max_size=4)),
-                            "stage": data.draw(st.sampled_from([e["stage"] for e in stages])),
+                            "stage": data.draw(st.sampled_from(adversarial)),
                             "objective": data.draw(st.sampled_from(OBJECTIVES))}
         m = ExperimentManifest.from_dict(obj)
         assert ExperimentManifest.from_dict(json.loads(json.dumps(m.to_dict()))) == m
@@ -154,7 +164,9 @@ class TestManifestParsing:
         ("stage", {"batch_size": True}, "batch_size must be an integer >= 1, got True"),
         ("stage", {"epochs": 1.5}, "epochs must be an integer >= 0, got 1.5"),
         ("stage", {"epochs": -1}, "epochs must be an integer >= 0, got -1"),
-        ("stage", {"continual_epochs": -2}, "continual_epochs must be an integer >= 0, got -2"),
+        # dat_only does not read continual_epochs; this entry becomes a stage that does
+        ("stage", {"stage": "continual_plus_dat", "continual_epochs": -2},
+         "continual_epochs must be an integer >= 0, got -2"),
         ("stage", {"seed": -1}, "seed must be an integer >= 0, got -1"),
         ("stage", {"lambda": 0}, "grl_lambda must be a finite number > 0, got 0"),
         ("stage", {"eta": "fast"}, "eta must be a finite number > 0, got 'fast'"),
@@ -167,6 +179,19 @@ class TestManifestParsing:
         ("sweep", {"lambdas": [1e-2, 1e400]}, "sweep lambda must be a finite number > 0, got inf"),
         ("sweep", {"lambdas": 0.1}, "sweep lambdas must be a non-empty list, got 0.1"),
         ("sweep", {"objective": "hinge"}, "unknown sweep objective 'hinge'"),
+        ("sweep", {"stage": "baseline"}, "sweep stage 'baseline' reads no lambda"),
+        ("manifest", {"stages": [dict(BASELINE, **{"lambda": 0.5, "objective": "bce", "beta": 3.0,
+                                                   "continual_epochs": 7}), DAT]},
+         "stage 'baseline' does not read ['beta', 'continual_epochs', 'lambda', 'objective']"),
+        ("manifest", {"stages": []}, "manifest lists no stages"),
+        ("manifest", {"stages": 5}, "stages must be a JSON list, got 5"),
+        ("manifest", {"stages": [5]},
+         "each stage entry must be a JSON object with a 'stage' key, got 5"),
+        ("manifest", {"stages": [BASELINE, DAT, BASELINE]},
+         "stage(s) ['baseline'] have more than one entry"),
+        ("manifest", {"corpus": 5}, "corpus must be a JSON object, got 5"),
+        ("manifest", {"sweep": 5}, "sweep must be a JSON object, got 5"),
+        ("corpus", {"type": "synthetic"}, "unknown manifest key(s) in corpus: ['type']"),
     ]
 
     @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
@@ -184,6 +209,18 @@ class TestManifestParsing:
         path = _write_manifest(tmp_path, **changes)
         assert main([command, "--manifest", str(path), *dry_run]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    @pytest.mark.parametrize("stage, key", [(stage, key) for stage in STAGES for key in SETTINGS
+                                            if key not in STAGE_KEYS[stage]])
+    def test_setting_the_stage_does_not_read_rejected(self, tmp_path, capsys, command, dry_run,
+                                                      stage, key):
+        stages = [e for e in TINY_MANIFEST["stages"] if e["stage"] != stage]
+        path = _write_manifest(tmp_path, stages=[*stages, {"stage": stage, key: SETTINGS[key]}])
+        assert main([command, "--manifest", str(path), *dry_run]) == EXIT_CONFIG
+        assert f"stage {stage!r} does not read [{key!r}]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep", "probe"])

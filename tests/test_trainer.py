@@ -79,8 +79,7 @@ class TestSgdEquations:
     ], ids=["0.01", "0.001", "bce-0.01", "bce-0.001"])
     def test_deltas_match_equations(self, small_splits, objective, lam):
         eta, alpha, beta = 1e-3, 2e-3, 3e-3
-        cfg = small_cfg(eta=eta, alpha=alpha, beta=beta, grl_lambda=lam, optimizer="sgd",
-                        objective=objective)
+        cfg = small_cfg(eta=eta, alpha=alpha, beta=beta, grl_lambda=lam, objective=objective)
         s_feats = features_of(small_splits.S[:4])
         s_labels = np.array([c.label for c in small_splits.S[:4]])
         t_feats = features_of(small_splits.T[:4])
