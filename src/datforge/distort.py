@@ -52,6 +52,7 @@ class Waveform:
     samples: np.ndarray
     sample_rate: int = DEFAULT_SR
     gain_applied: float = 1.0  # peak-normalization gain, 1.0 if none
+    _features: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -60,6 +61,15 @@ class Waveform:
 
     def power(self) -> float:
         return float(np.mean(self.samples**2))
+
+    @property
+    def features(self) -> np.ndarray:
+        """``featurize(self)``, computed on first use and kept, read-only, while the clip lives."""
+        if self._features is None:
+            feats = featurize(self)
+            feats.flags.writeable = False
+            self._features = feats
+        return self._features
 
 
 def _peak_normalize(samples: np.ndarray, sr: int) -> Waveform:
@@ -468,7 +478,10 @@ def _triangular_filterbank(n_bins: int, n_bands: int) -> np.ndarray:
 
 
 def featurize(w: Waveform, n_bands: int = N_BANDS) -> np.ndarray:
-    """Per-frame log magnitudes of triangular frequency bands (T x n_bands)."""
+    """Per-frame log magnitudes of triangular frequency bands (T x n_bands).
+
+    Computes afresh and keeps nothing; ``Waveform.features`` is the kept copy.
+    """
     window = int(round(WINDOW_S * w.sample_rate))
     hop = int(round(HOP_S * w.sample_rate))
     n = w.samples.size

@@ -44,13 +44,11 @@ class DomainProbeResult:
     losses: list[float] = field(repr=False, default_factory=list)
 
 
-def evaluate(model: DannModel, test_set: list[LabeledClip],
-             feats: list[np.ndarray] | None = None) -> float:
+def evaluate(model: DannModel, test_set: list[LabeledClip]) -> float:
     """Argmax accuracy of the label head on a labeled set."""
     if not test_set:
         raise ValueError("evaluate: empty test set")
-    feats = feats if feats is not None else features_of(test_set)
-    logits = model.predict_logits(feats)
+    logits = model.predict_logits(features_of(test_set))
     labels = np.array([c.label for c in test_set])
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
@@ -113,17 +111,11 @@ def build_report(results: list[StageResult], splits: CorpusSplit,
     """Evaluate every trained stage on the shared test membership, in a fixed column order."""
     if not results:
         raise ConfigError("build_report: no stage results")
-    cached = {
-        "clean": (splits.test_clean, features_of(splits.test_clean)),
-        "seen": (splits.test_seen, features_of(splits.test_seen)),
-        "unseen": (splits.test_unseen, features_of(splits.test_unseen)),
-    }
     rows = []
     for res in results:
-        accs = {name: evaluate(res.model, clips, feats)
-                for name, (clips, feats) in cached.items()}
-        rows.append(ReportRow(res.stage, res.objective, res.grl_lambda,
-                              accs["clean"], accs["seen"], accs["unseen"]))
+        accs = [evaluate(res.model, clips)
+                for clips in (splits.test_clean, splits.test_seen, splits.test_unseen)]
+        rows.append(ReportRow(res.stage, res.objective, res.grl_lambda, *accs))
     meta = dict(metadata or {})
     meta.setdefault("created_at", datetime.now(timezone.utc).isoformat())
     return MetricsReport(rows, meta)

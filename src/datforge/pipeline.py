@@ -43,8 +43,11 @@ from .trainer import (
     REPORTED_LAMBDAS,
     STAGE_FIELDS,
     STAGES,
+    Pretrained,
     StageResult,
     TrainConfig,
+    pretrain,
+    pretrain_settings,
     run_stage,
     write_training_log,
 )
@@ -77,6 +80,9 @@ class CorpusSpec:
         for name, least in (("classes", 2), ("n_per_class", 1), ("test_n_per_class", 1),
                             ("continual_n_per_class", 1), ("seed", 0)):
             require_count(f"corpus {name}", getattr(self, name), least)
+        if self.noise_wav_dir is not None and not isinstance(self.noise_wav_dir, str):
+            raise ConfigError(f"corpus noise_wav_dir must be a path string or null, "
+                              f"got {self.noise_wav_dir!r}")
         if self.classes * self.n_per_class < MIN_SPLIT_CLIPS:
             raise ConfigError(f"corpus has {self.classes * self.n_per_class} training clips "
                               f"(classes x n_per_class), fewer than {MIN_SPLIT_CLIPS}")
@@ -156,6 +162,8 @@ class ExperimentManifest:
     def __post_init__(self):
         require_count("seed", self.seed, 0)
         require_count("splits_seed", self.splits_seed, 0)
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}")
         if not self.stages:
             raise ConfigError("manifest lists no stages")
         names = [s.stage for s in self.stages]
@@ -397,26 +405,56 @@ def parallel_map(fn, items, jobs: int) -> list:
                 raise
 
 
+def _model_cfg(cfg: TrainConfig, data: ExperimentData) -> ModelConfig:
+    """The model of a stage: one label output per corpus class, the objective's domain setting."""
+    return ModelConfig(n_classes=data.classes, domain_setting=cfg.domain_setting)
+
+
 def _train_stage(stage: str, cfg: TrainConfig, data: ExperimentData,
-                 checkpoint_dir=None) -> StageResult:
-    """``run_stage`` on a model whose label head has one output per corpus class."""
-    model_cfg = ModelConfig(n_classes=data.classes, domain_setting=cfg.domain_setting)
+                 checkpoint_dir=None, pretrained: Pretrained | None = None) -> StageResult:
     return run_stage(stage, data.splits, cfg, continual_set=data.continual_set or None,
-                     model_cfg=model_cfg, checkpoint_dir=checkpoint_dir)
+                     model_cfg=_model_cfg(cfg, data), checkpoint_dir=checkpoint_dir,
+                     pretrained=pretrained)
+
+
+def stage_groups(stages: list[StageSpec]) -> list[list[StageSpec]]:
+    """The stages, one group per distinct continual pretraining, in order of first stage.
+
+    Continual stages that agree on every ``PRETRAIN_FIELDS`` setting share a
+    group; any other stage is a group of its own.
+    """
+    groups: dict[object, list[StageSpec]] = {}
+    for spec in stages:
+        key = pretrain_settings(spec.config) if spec.stage in CONTINUAL_STAGES else spec.stage
+        groups.setdefault(key, []).append(spec)
+    return list(groups.values())
+
+
+def _train_group(group: list[StageSpec], data: ExperimentData,
+                 checkpoint_dir=None) -> list[StageResult]:
+    """Pretrain once if the group's stages are continual, then train each from its own copy."""
+    first = group[0]
+    pretrained = None
+    if first.stage in CONTINUAL_STAGES:
+        pretrained = pretrain(first.config, data.continual_set,
+                              _model_cfg(first.config, data), first.stage)
+    return [_train_stage(s.stage, s.config, data, checkpoint_dir, pretrained) for s in group]
 
 
 def run_stages(manifest: ExperimentManifest, data: ExperimentData,
                checkpoint_dir=None) -> list[StageResult]:
-    """Train every stage of the manifest, one per usable CPU; results do not depend on the count.
+    """Train every stage of the manifest; results come in manifest order, whatever the workers.
 
-    A wrapper put around ``run_stage`` (a tracer's or profiler's) keeps its
-    record in this process, and a forked worker would add to a copy that is
-    lost, so wrapped stages train here.
+    Each ``stage_groups`` group is one item of ``parallel_map``, with one
+    worker per usable CPU.  A wrapper put around ``run_stage`` (a tracer's or
+    profiler's) keeps its record in this process, and a forked worker would
+    add to a copy that is lost, so wrapped stages train here.
     """
     jobs = 1 if hasattr(run_stage, "__wrapped__") else usable_cpus()
-    return parallel_map(
-        lambda spec: _train_stage(spec.stage, spec.config, data, checkpoint_dir),
-        manifest.stages, jobs)
+    trained = parallel_map(lambda group: _train_group(group, data, checkpoint_dir),
+                           stage_groups(manifest.stages), jobs)
+    by_stage = {res.stage: res for results in trained for res in results}
+    return [by_stage[spec.stage] for spec in manifest.stages]
 
 
 def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import objectives
-from .distort import ContinualClip, CorpusSplit, LabeledClip, TargetClip, derive_seed, featurize
+from .distort import ContinualClip, CorpusSplit, LabeledClip, TargetClip, derive_seed
 from .errors import ConfigError, DatforgeError, require_count, require_positive
 from .gradcore import (
     DOMAIN_CLASSIFIER,
@@ -39,6 +39,9 @@ STAGE_FIELDS = {
     + (("beta", "grl_lambda", "objective") if stage in DAT_STAGES else ())
     for stage in STAGES
 }
+# the TrainConfig fields continual_pretrain reads: continual stages that agree on them
+# start from the same pretrained extractor
+PRETRAIN_FIELDS = ("seed", "continual_epochs", "batch_size")
 OBJECTIVES = ("bce", "ce", "entropy")
 DEFAULT_LAMBDA_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 REPORTED_LAMBDAS = (1e-2, 1e-3)
@@ -112,11 +115,12 @@ def _check_finite(stage: str, epoch: int, step: int, **losses: float):
 
 
 # ---------------------------------------------------------------------------
-# feature caches
+# features
 # ---------------------------------------------------------------------------
 
 def features_of(clips) -> list[np.ndarray]:
-    return [featurize(c.waveform) for c in clips]
+    """Each clip's read-only features, featurized on first use (``Waveform.features``)."""
+    return [c.waveform.features for c in clips]
 
 
 def domain_indices(clips: list[TargetClip], setting: str) -> np.ndarray:
@@ -231,8 +235,8 @@ def continual_pretrain(model: DannModel, continual_set: list[ContinualClip],
     """
     if cfg.continual_epochs == 0:
         return []
-    inputs = [featurize(c.waveform) for c in continual_set]
-    targets = [featurize(c.clean) for c in continual_set]
+    inputs = [c.waveform.features for c in continual_set]
+    targets = [c.clean.features for c in continual_set]
     is_clean = [c.kind == "clean" for c in continual_set]
     mcfg = model.cfg
     dec_rng = np.random.default_rng(derive_seed(cfg.seed, 20))
@@ -242,8 +246,7 @@ def continual_pretrain(model: DannModel, continual_set: list[ContinualClip],
     # not the raw log-feature offset
     dec_b = Parameter(np.concatenate(targets, axis=0).mean(axis=0), "aux", "dec.b")
     opt = Optimizer(model.group(FEATURE_EXTRACTOR) + [dec_w, dec_b],
-                    {**cfg.lr_by_group(), FEATURE_EXTRACTOR: CONTINUAL_LR,
-                     "aux": CONTINUAL_LR})
+                    {FEATURE_EXTRACTOR: CONTINUAL_LR, "aux": CONTINUAL_LR})
     rows, step = [], 0
     floor = np.log(1e-8)
     for epoch in range(cfg.continual_epochs):
@@ -281,11 +284,38 @@ def continual_heldout_loss(model: DannModel, heldout: list[ContinualClip]) -> fl
     """
     total, n = 0.0, 0
     for c in heldout:
-        zn = model.extractor.extract_features(featurize(c.waveform))
-        zc = model.extractor.extract_features(featurize(c.clean))
+        zn = model.extractor.extract_features(c.waveform.features)
+        zc = model.extractor.extract_features(c.clean.features)
         total += float(np.mean((zn - zc) ** 2))
         n += 1
     return total / max(n, 1)
+
+
+@dataclass
+class Pretrained:
+    """A continually pretrained extractor, for every stage whose ``PRETRAIN_FIELDS`` match."""
+
+    settings: tuple  # the PRETRAIN_FIELDS values it was pretrained with
+    extractor: list[np.ndarray]  # FeatureExtractor.parameters() values, in order
+    log: list[LogRow]
+
+
+def pretrain_settings(cfg: TrainConfig) -> tuple:
+    return tuple(getattr(cfg, name) for name in PRETRAIN_FIELDS)
+
+
+def pretrain(cfg: TrainConfig, continual_set: list[ContinualClip], model_cfg: ModelConfig,
+             stage: str) -> Pretrained:
+    """``continual_pretrain`` on a fresh seed-determined model; log rows are named ``stage``.
+
+    The extractor's initial values depend only on the seed and its layer
+    sizes, not on the heads, so stages that differ in their domain setting
+    still share it.
+    """
+    model = DannModel(model_cfg, derive_seed(cfg.seed, 0))
+    log = continual_pretrain(model, continual_set, cfg, stage)
+    return Pretrained(pretrain_settings(cfg), [p.value for p in model.extractor.parameters()],
+                      log)
 
 
 def train_dat(splits: CorpusSplit, model: DannModel, cfg: TrainConfig,
@@ -327,8 +357,13 @@ class StageResult:
 def run_stage(stage: str, splits: CorpusSplit, cfg: TrainConfig,
               continual_set: list[ContinualClip] | None = None,
               model_cfg: ModelConfig | None = None,
-              checkpoint_dir=None) -> StageResult:
-    """Train one experiment row from a fresh, seed-determined model."""
+              checkpoint_dir=None, pretrained: Pretrained | None = None) -> StageResult:
+    """Train one experiment row from a fresh, seed-determined model.
+
+    A continual stage starts from a copy of ``pretrained``'s extractor, or
+    pretrains its own when given none; either way its log holds the
+    pretraining's rows under its own name.
+    """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
     if stage in CONTINUAL_STAGES and continual_set is None:
@@ -340,7 +375,13 @@ def run_stage(stage: str, splits: CorpusSplit, cfg: TrainConfig,
     log: list[LogRow] = []
     ckpt_path = None
     if stage in CONTINUAL_STAGES:
-        log += continual_pretrain(model, continual_set, cfg, stage)
+        pre = pretrained or pretrain(cfg, continual_set, mcfg, stage)
+        if pre.settings != pretrain_settings(cfg):
+            raise ConfigError(f"stage {stage!r} pretrains with {PRETRAIN_FIELDS} = "
+                              f"{pretrain_settings(cfg)}, not {pre.settings}")
+        for p, value in zip(model.extractor.parameters(), pre.extractor):
+            p.value[...] = value
+        log += [replace(row, stage=stage) for row in pre.log]
         if checkpoint_dir is not None:
             ckpt_path = str(checkpoint_dir / f"{stage}_continual.ckpt")
             model.save(ckpt_path)

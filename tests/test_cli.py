@@ -44,9 +44,10 @@ BASELINE, DAT = TINY_MANIFEST["stages"]
 
 
 def _write_manifest(tmp_path, **changes) -> Path:
-    """TINY_MANIFEST with ``changes`` as ``tmp_path/m.json``, writing into ``tmp_path/out``."""
+    """TINY_MANIFEST with ``changes`` as ``tmp_path/m.json``, writing into ``tmp_path/out``
+    unless ``changes`` sets ``output_dir``."""
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(dict(TINY_MANIFEST, output_dir=str(tmp_path / "out"), **changes)))
+    path.write_text(json.dumps({**TINY_MANIFEST, "output_dir": str(tmp_path / "out"), **changes}))
     return path
 
 
@@ -192,6 +193,12 @@ class TestManifestParsing:
         ("manifest", {"corpus": 5}, "corpus must be a JSON object, got 5"),
         ("manifest", {"sweep": 5}, "sweep must be a JSON object, got 5"),
         ("corpus", {"type": "synthetic"}, "unknown manifest key(s) in corpus: ['type']"),
+        ("manifest", {"output_dir": 5}, "output_dir must be a path string, got 5"),
+        ("manifest", {"output_dir": ["out"]}, "output_dir must be a path string, got ['out']"),
+        ("corpus", {"noise_wav_dir": 5},
+         "corpus noise_wav_dir must be a path string or null, got 5"),
+        ("corpus", {"noise_wav_dir": True},
+         "corpus noise_wav_dir must be a path string or null, got True"),
     ]
 
     @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
@@ -349,10 +356,10 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_loss_exit_code(self, manifest_path, monkeypatch, capsys):
-        from datforge import trainer
+        from datforge import distort
 
-        real = trainer.featurize
-        monkeypatch.setattr(trainer, "featurize", lambda w: np.full_like(real(w), np.nan))
+        real = distort.featurize  # the run builds its clips afresh, so each one featurizes
+        monkeypatch.setattr(distort, "featurize", lambda w: np.full_like(real(w), np.nan))
         assert main(["run", "--manifest", str(manifest_path)]) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "stage 'baseline': non-finite L_y (nan) at epoch 0, step 0" in err

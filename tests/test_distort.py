@@ -311,6 +311,23 @@ class TestFeaturize:
         clip = synth_corpus(1, 2, seed=17)[0]
         assert np.array_equal(featurize(clip.waveform), featurize(clip.waveform))
 
+    def test_features_are_kept_once_and_read_only(self):
+        w = synth_corpus(1, 2, seed=18)[0].waveform
+        kept = w.features
+        assert w.features is kept
+        assert np.array_equal(kept, featurize(w))
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            kept += 1.0
+        assert np.array_equal(kept, featurize(w))
+
+    def test_featurize_keeps_nothing(self):
+        w = synth_corpus(1, 2, seed=19)[0].waveform
+        first = featurize(w)
+        assert featurize(w) is not first and first.flags.writeable
+        assert w._features is None  # featurize does not fill the clip's copy
+
 
 class TestWavIO:
     def test_round_trip_within_quantization(self, tmp_path):

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from datforge import pipeline
+from datforge import distort, pipeline, trainer
 from datforge.cli import EXIT_RUNTIME, main
 from datforge.distort import DIRECT_CONV_MAX_TAPS, Waveform, apply_reverb, make_impulse_response
 from datforge.errors import ConfigError, DatforgeError
@@ -37,8 +37,11 @@ from datforge.pipeline import (
     parallel_map,
     run_experiment,
     run_stages,
+    stage_groups,
+    standard_manifest,
     usable_cpus,
 )
+from datforge.trainer import run_stage
 from test_cli import TINY_MANIFEST
 
 
@@ -352,12 +355,10 @@ def test_stages_in_workers_match_serial_run(tmp_path, monkeypatch):
 
 @forks
 def test_worker_error_reaches_the_cli_unchanged(tmp_path, monkeypatch, capsys):
-    from datforge import trainer
-
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(dict(TINY_MANIFEST, output_dir=str(tmp_path / "o"))))
-    real = trainer.featurize
-    monkeypatch.setattr(trainer, "featurize", lambda w: np.full_like(real(w), np.nan))
+    real = distort.featurize  # each run builds its clips afresh, so each one featurizes
+    monkeypatch.setattr(distort, "featurize", lambda w: np.full_like(real(w), np.nan))
     errors = []
     for jobs in (1, 2):
         monkeypatch.setattr(pipeline, "usable_cpus", lambda jobs=jobs: jobs)
@@ -365,3 +366,115 @@ def test_worker_error_reaches_the_cli_unchanged(tmp_path, monkeypatch, capsys):
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert "stage 'baseline': non-finite L_y (nan) at epoch 0, step 0" in errors[1]
+
+
+# ---------------------------------------------------------------------------
+# shared work: features kept on the clip, one pretraining per distinct setting
+# ---------------------------------------------------------------------------
+
+def tiny_standard(**continual_plus_dat):
+    """The standard manifest's five stages at one epoch each, on TINY_MANIFEST's corpus.
+
+    ``continual_plus_dat`` changes that stage's entry.
+    """
+    stages = []
+    for spec in standard_manifest(1).to_dict()["stages"]:
+        entry = dict(spec, epochs=1, **({"continual_epochs": 1}
+                                        if "continual_epochs" in spec else {}))
+        if spec["stage"] == "continual_plus_dat":
+            entry.update(continual_plus_dat)
+        stages.append(entry)
+    return ExperimentManifest.from_dict(dict(TINY_MANIFEST, stages=stages))
+
+
+def test_standard_continual_stages_share_one_group():
+    groups = stage_groups(standard_manifest(1).stages)
+    assert [[s.stage for s in g] for g in groups] == [
+        ["baseline"], ["oracle"], ["continual_only", "continual_plus_dat"], ["dat_only"]]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_shared_pretraining_matches_each_stage_alone(tmp_path, monkeypatch, jobs):
+    # continual_plus_dat trains a binary domain head, continual_only a multi-domain one:
+    # the shared extractor must not depend on the heads
+    manifest = tiny_standard(objective="bce")
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    data = build_experiment_data(manifest.corpus, manifest.splits_seed)
+    logs = {}
+    with pipeline.one_blas_thread_and_kept_memory():  # as parallel_map trains
+        for spec in manifest.stages:
+            res = run_stage(spec.stage, data.splits, spec.config,
+                            continual_set=data.continual_set,
+                            model_cfg=ModelConfig(n_classes=data.classes,
+                                                  domain_setting=spec.config.domain_setting),
+                            checkpoint_dir=alone)
+            res.model.save(alone / f"{spec.stage}.ckpt")
+            logs[spec.stage] = res.log
+
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: jobs)
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    data = build_experiment_data(manifest.corpus, manifest.splits_seed)  # nothing featurized
+    results = run_stages(manifest, data, checkpoint_dir=shared)
+    assert [r.stage for r in results] == [s.stage for s in manifest.stages]
+    for res in results:
+        res.model.save(shared / f"{res.stage}.ckpt")
+        assert res.log == logs[res.stage], res.stage
+    names = sorted(p.name for p in alone.iterdir())
+    assert names == sorted(p.name for p in shared.iterdir())
+    assert "continual_only_continual.ckpt" in names and "continual_plus_dat_continual.ckpt" in names
+    for name in names:
+        assert (alone / name).read_bytes() == (shared / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("change, pretrainings", [
+    ({}, ["continual_only"]),
+    ({"eta": 1e-3, "lambda": 0.5, "objective": "bce"}, ["continual_only"]),
+    ({"continual_epochs": 2}, ["continual_only", "continual_plus_dat"]),
+    ({"batch_size": 8}, ["continual_only", "continual_plus_dat"]),
+    ({"seed": 2}, ["continual_only", "continual_plus_dat"]),
+])
+def test_one_pretraining_per_distinct_setting(monkeypatch, change, pretrainings):
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)  # count in this process
+    calls = []
+    real = trainer.continual_pretrain
+
+    def counting(model, continual_set, cfg, stage):
+        calls.append(stage)
+        return real(model, continual_set, cfg, stage)
+
+    monkeypatch.setattr(trainer, "continual_pretrain", counting)
+    manifest = tiny_standard(**change)
+    results = run_stages(manifest, build_experiment_data(manifest.corpus, manifest.splits_seed))
+    assert calls == pretrainings
+    assert [r.stage for r in results] == [s.stage for s in manifest.stages]
+    assert all(row.stage == res.stage for res in results for row in res.log)
+
+
+def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)  # count in this process
+    built = []
+    real_build = pipeline.build_experiment_data
+
+    def keeping(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    calls = []
+    real = distort.featurize
+
+    def counting(w, *args):
+        calls.append(id(w))
+        return real(w, *args)
+
+    monkeypatch.setattr(pipeline, "build_experiment_data", keeping)
+    monkeypatch.setattr(distort, "featurize", counting)
+    run_experiment(tiny_standard(), tmp_path / "out")
+    (data,) = built  # kept alive, so no two of its waveforms share an id
+    sp = data.splits
+    waves = {id(c.waveform) for part in (sp.S, sp.T, sp.test_clean, sp.test_seen, sp.test_unseen)
+             for c in part}
+    waves |= {id(w) for c in data.continual_set for w in (c.waveform, c.clean)}
+    assert len(calls) == len(set(calls)) == len(waves)
+    assert set(calls) == waves

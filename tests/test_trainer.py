@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from datforge.distort import build_continual_set, featurize
-from datforge import pipeline, trainer
+from datforge.distort import build_continual_set, build_splits, synth_corpus
+from datforge import distort, pipeline, trainer
 from datforge.errors import ConfigError, DatforgeError, PolicyError
 from datforge.gradcore import Optimizer, Tape
 from datforge.models import DannModel, ModelConfig
@@ -20,6 +20,7 @@ from datforge.trainer import (
     dat_step,
     domain_indices,
     features_of,
+    pretrain,
     run_stage,
     train_dat,
     train_supervised,
@@ -261,18 +262,25 @@ class TestSupervisedAndStages:
 
 @pytest.fixture()
 def nan_features(monkeypatch):
-    real = trainer.featurize
-    monkeypatch.setattr(trainer, "featurize", lambda w: np.full_like(real(w), np.nan))
+    """Splits and a continual set built afresh, so that every clip featurizes to NaN.
+
+    Shared clips may hold features already (``Waveform.features`` keeps them).
+    """
+    real = distort.featurize
+    monkeypatch.setattr(distort, "featurize", lambda w: np.full_like(real(w), np.nan))
+    corpus = synth_corpus(10, 4, seed=11)
+    splits = build_splits(corpus, seed=5, test_corpus=synth_corpus(3, 4, seed=12,
+                                                                    id_prefix="test"))
+    return splits, build_continual_set([c.waveform for c in corpus[:8]], seed=2)
 
 
 class TestNonFiniteLoss:
     @pytest.mark.parametrize("stage, loss", [("baseline", "L_y"), ("dat_only", "L_y"),
                                              ("continual_only", "L_continual")])
-    def test_nan_features_stop_training(self, nan_features, small_corpus, small_splits,
-                                        stage, loss):
-        cont = build_continual_set([c.waveform for c in small_corpus[:8]], seed=2)
+    def test_nan_features_stop_training(self, nan_features, stage, loss):
+        splits, cont = nan_features
         with pytest.raises(DatforgeError) as exc:
-            run_stage(stage, small_splits, small_cfg(), continual_set=cont, model_cfg=SMALL_MODEL)
+            run_stage(stage, splits, small_cfg(), continual_set=cont, model_cfg=SMALL_MODEL)
         assert not isinstance(exc.value, ConfigError)  # a runtime failure, not a bad setting
         assert str(exc.value) == f"stage {stage!r}: non-finite {loss} (nan) at epoch 0, step 0"
 
@@ -298,6 +306,13 @@ class TestContinualPretraining:
         assert all(np.array_equal(b, a) for b, a in zip(heads_before, heads_after))
         assert any(not np.array_equal(b, a)
                    for b, a in zip(fx_before, (p.value for p in model.extractor.parameters())))
+
+    def test_shared_pretraining_must_match_the_stage_settings(self, small_corpus, small_splits):
+        cont = build_continual_set([c.waveform for c in small_corpus[:8]], seed=2)
+        pre = pretrain(small_cfg(continual_epochs=1), cont, SMALL_MODEL, "continual_only")
+        with pytest.raises(ConfigError, match="pretrains with"):
+            run_stage("continual_only", small_splits, small_cfg(continual_epochs=2),
+                      continual_set=cont, model_cfg=SMALL_MODEL, pretrained=pre)
 
     def test_zero_epochs_is_noop(self, small_corpus):
         cont = build_continual_set([c.waveform for c in small_corpus[:8]], seed=2)
