@@ -278,14 +278,16 @@ class Optimizer:
 
     def step(self):
         self.t += 1
-        for i, p in enumerate(self.params):
+        # in place, in the operation order of m = b1*m + (1-b1)*g: the values are exact
+        m_bias, v_bias = 1.0 - ADAM_BETA1**self.t, 1.0 - ADAM_BETA2**self.t
+        for p, m, v in zip(self.params, self._m, self._v):
             lr = self.lr_by_group[p.group]
             if self.sgd:
                 p.value -= lr * p.grad
             else:
-                self._m[i] = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * p.grad
-                self._v[i] = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * p.grad**2
-                m_hat = self._m[i] / (1.0 - ADAM_BETA1**self.t)
-                v_hat = self._v[i] / (1.0 - ADAM_BETA2**self.t)
-                p.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * p.grad
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * p.grad**2
+                p.value -= lr * (m / m_bias) / (np.sqrt(v / v_bias) + ADAM_EPS)
             p.zero_grad()

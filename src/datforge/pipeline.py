@@ -9,10 +9,10 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from . import blas
 from .distort import (
     MIN_SPLIT_CLIPS,
     CorpusSplit,
@@ -269,35 +269,6 @@ def usable_cpus() -> int:
 
 
 @functools.cache
-def _openblas_libraries() -> tuple:
-    """The OpenBLAS libraries numpy loaded, opened through ctypes once per process."""
-    try:
-        with open("/proc/self/maps") as f:
-            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
-    except OSError:
-        return ()
-    libs = []
-    for path in paths:
-        try:
-            libs.append(ctypes.CDLL(path))
-        except OSError:
-            continue
-    return tuple(libs)
-
-
-def blas_function(name: str, restype, argtypes):
-    """OpenBLAS's ``openblas_<name>`` from the library numpy loaded, through ctypes; None if absent."""
-    for lib in _openblas_libraries():
-        for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
-                    f"openblas_{name}64_", f"openblas_{name}"):
-            fn = getattr(lib, sym, None)
-            if fn is not None:
-                fn.restype, fn.argtypes = restype, argtypes
-                return fn
-    return None
-
-
-@functools.cache
 def libc_mallopt():
     """The C library's ``mallopt``, looked up once per process through ctypes; None if absent."""
     try:
@@ -335,37 +306,14 @@ def keep_freed_memory():
 _worker_job = None  # (fn, items), set once in each pool worker by _start_worker
 
 
-def _start_worker(set_blas_threads, fn, items):
+def _start_worker(fn, items):
     global _worker_job
-    set_blas_threads(1)
     _worker_job = (fn, items)
 
 
 def _run_item(i: int):
     fn, items = _worker_job
     return fn(items[i])
-
-
-@contextmanager
-def one_blas_thread_and_kept_memory():
-    """Hold OpenBLAS at one thread inside the block, and ``keep_freed_memory`` for good.
-
-    The BLAS thread count is restored after the block; the allocator setting
-    is not.  Yields the thread setter, or None (and leaves the thread count
-    alone) when OpenBLAS's getter or setter is not found.
-    """
-    keep_freed_memory()
-    get = blas_function("get_num_threads", ctypes.c_int, [])
-    set_threads = blas_function("set_num_threads", None, [ctypes.c_int])
-    if get is None or set_threads is None:
-        yield None
-        return
-    before = get()
-    set_threads(1)
-    try:
-        yield set_threads
-    finally:
-        set_threads(before)
 
 
 def parallel_map(fn, items, jobs: int) -> list:
@@ -377,32 +325,31 @@ def parallel_map(fn, items, jobs: int) -> list:
     failing item (in item order, as a serial loop would meet it) is re-raised
     with its type and message, after cancelling the items not yet started.
 
-    The map runs in this process when it has one worker, when the platform
-    has no ``fork``, when no OpenBLAS thread setter is found (so workers could
-    not be kept from oversubscribing the CPUs), or when other Python threads
-    are running (forking them is unsafe).  In-process items also run with one
-    BLAS thread, so results do not depend on the worker count.  Both kinds of
-    item run after ``keep_freed_memory``, which stays in force after the map.
+    Workers inherit the one BLAS thread that importing ``datforge`` set.  The
+    map runs in this process when it has one worker, when the platform has no
+    ``fork``, when no OpenBLAS thread setter was found (so workers could not
+    be kept from oversubscribing the CPUs), or when other Python threads are
+    running (forking them is unsafe).  Both kinds of item run after
+    ``keep_freed_memory``, which stays in force after the map.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
     workers = min(jobs, len(items), usable_cpus())
-    with one_blas_thread_and_kept_memory() as set_threads:
-        if (workers < 2 or set_threads is None
-                or "fork" not in multiprocessing.get_all_start_methods()
-                or threading.active_count() > 1):
-            return [fn(x) for x in items]
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_start_worker,
-                                 initargs=(set_threads, fn, items)) as pool:
-            futures = [pool.submit(_run_item, i) for i in range(len(items))]
-            try:
-                return [f.result() for f in futures]
-            except BaseException:
-                for f in futures:
-                    f.cancel()
-                raise
+    keep_freed_memory()
+    if (workers < 2 or not blas.ONE_THREAD
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(fn, items)) as pool:
+        futures = [pool.submit(_run_item, i) for i in range(len(items))]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise
 
 
 def _model_cfg(cfg: TrainConfig, data: ExperimentData) -> ModelConfig:
@@ -495,8 +442,8 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
 # ---------------------------------------------------------------------------
 
 def _sweep_cell(args):
-    data, cfg, lam, stage = args
-    result = _train_stage(stage, replace(cfg, grl_lambda=lam), data)
+    data, cfg, lam, stage, pretrained = args
+    result = _train_stage(stage, replace(cfg, grl_lambda=lam), data, pretrained=pretrained)
     report = build_report([result], data.splits)
     row = report.rows[0]
     return lam, (row.clean_acc, row.seen_acc, row.unseen_acc)
@@ -506,7 +453,9 @@ def run_sweep(manifest: ExperimentManifest, out_dir: Path, jobs: int = 1) -> lis
     """Train the sweep's stage once per lambda, from the manifest's entry for that stage.
 
     Cells run through ``parallel_map``; ``_sweep_cell`` is looked up when the
-    sweep starts, so a wrapper installed around it runs in the workers.
+    sweep starts, so a wrapper installed around it runs in the workers.  A
+    continual stage pretrains once, before the map, since lambda is not one
+    of ``PRETRAIN_FIELDS``; every cell trains from a copy of that extractor.
     """
     if manifest.sweep is None:
         raise ConfigError("manifest has no 'sweep' section")
@@ -518,7 +467,10 @@ def run_sweep(manifest: ExperimentManifest, out_dir: Path, jobs: int = 1) -> lis
     data = build_experiment_data(manifest.corpus, manifest.splits_seed, needs_continual)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(data, cfg, lam, sweep.stage) for lam in lams]
+    pretrained = None
+    if needs_continual:
+        pretrained = pretrain(cfg, data.continual_set, _model_cfg(cfg, data), sweep.stage)
+    cells = [(data, cfg, lam, sweep.stage, pretrained) for lam in lams]
     rows = []
     for lam, (clean, seen, unseen) in parallel_map(_sweep_cell, cells, jobs):
         rows.append({"lambda": lam, "reported": lam in REPORTED_LAMBDAS,

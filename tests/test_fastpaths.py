@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,25 +24,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from datforge import distort, pipeline, trainer
+from datforge import blas, distort, pipeline, trainer
+from datforge.blas import blas_function
 from datforge.cli import EXIT_RUNTIME, main
 from datforge.distort import DIRECT_CONV_MAX_TAPS, Waveform, apply_reverb, make_impulse_response
 from datforge.errors import ConfigError, DatforgeError
+from datforge.evalharness import build_report
 from datforge.gradcore import Parameter, Tape
 from datforge.models import DannModel, ModelConfig, load_checkpoint
 from datforge.objectives import task_loss
 from datforge.pipeline import (
     ExperimentManifest,
-    blas_function,
     build_experiment_data,
     parallel_map,
     run_experiment,
     run_stages,
+    run_sweep,
     stage_groups,
     standard_manifest,
     usable_cpus,
 )
-from datforge.trainer import run_stage
+from datforge.trainer import REPORTED_LAMBDAS, run_stage
 from test_cli import TINY_MANIFEST
 
 
@@ -221,12 +224,70 @@ def test_pooled_features_match_per_frame_path(seed):
 
 
 # ---------------------------------------------------------------------------
-# parallel_map: forked workers with one BLAS thread vs the serial loop
+# one BLAS thread per process, set when datforge is imported
 # ---------------------------------------------------------------------------
 
 blas_threads = blas_function("get_num_threads", ctypes.c_int, [])
+set_blas_threads = blas_function("set_num_threads", None, [ctypes.c_int])
+setter_found = pytest.mark.skipif(not blas.ONE_THREAD or blas_threads is None,
+                                  reason="no OpenBLAS thread getter and setter found")
+
+
+def _fresh_interpreter(code: str, *args, **env_vars) -> str:
+    """Standard output of ``code`` run by a new interpreter that finds this datforge."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+THREADS_PROBE = """
+import ctypes, sys
+import datforge.distort
+from datforge.blas import blas_function
+print(blas_function("get_num_threads", ctypes.c_int, [])(), "datforge.pipeline" in sys.modules)
+"""
+
+
+@setter_found
+def test_importing_datforge_sets_one_blas_thread():
+    # the environment asks for two threads; importing datforge sets one regardless
+    out = _fresh_interpreter(THREADS_PROBE, OPENBLAS_NUM_THREADS="2")
+    assert out.split() == ["1", "False"]
+
+
+@setter_found
+def test_blas_thread_count_changes_no_result():
+    splits = build_experiment_data(ExperimentManifest.from_dict(dict(TINY_MANIFEST)).corpus,
+                                   7, with_continual=False).splits
+    clip = splits.test_unseen[0].waveform
+    feats = [c.waveform.features for c in splits.test_clean + splits.test_seen]
+    rng = np.random.default_rng(0)
+    x, W, b = rng.normal(size=(3136, 64)), rng.normal(size=(64, 64)), rng.normal(size=64)
+    model = DannModel(ModelConfig(), 3)
+
+    def outputs():
+        return distort.featurize(clip), x @ W + b, model.predict_logits(feats)
+
+    one = outputs()
+    set_blas_threads(2)
+    try:
+        assert blas_threads() == 2
+        two = outputs()
+    finally:
+        set_blas_threads(1)
+    assert blas_threads() == 1
+    for name, a, c in zip(("featurize", "x @ W + b", "predict_logits"), one, two):
+        assert np.array_equal(a, c), name
+
+
+# ---------------------------------------------------------------------------
+# parallel_map: forked workers with one BLAS thread vs the serial loop
+# ---------------------------------------------------------------------------
+
 forks = pytest.mark.skipif(
-    usable_cpus() < 2 or blas_threads is None
+    usable_cpus() < 2 or not blas.ONE_THREAD or blas_threads is None
     or "fork" not in multiprocessing.get_all_start_methods(),
     reason="parallel_map runs in-process on this machine")
 
@@ -238,14 +299,14 @@ THREE_STAGES = dict(TINY_MANIFEST, stages=TINY_MANIFEST["stages"] + [
 @forks
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_parallel_map_runs_every_item_with_one_blas_thread(jobs):
-    before = blas_threads()
+    assert blas_threads() == 1  # since datforge was imported
     # a lambda cannot pickle: fn reaches the workers through fork
     out = parallel_map(lambda x: (x * x, os.getpid(), blas_threads()), range(5), jobs)
     assert [v for v, _pid, _t in out] == [0, 1, 4, 9, 16]
     assert {t for _v, _pid, t in out} == {1}
     in_parent = [pid == os.getpid() for _v, pid, _t in out]
     assert all(in_parent) if jobs == 1 else not any(in_parent)
-    assert blas_threads() == before
+    assert blas_threads() == 1
 
 
 # One item allocates and frees x @ W + b on a 3136 x 64 frame batch 50 times,
@@ -276,12 +337,7 @@ print(*parallel_map(faults_of_50_cycles, range(2), int(sys.argv[1])))
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_parallel_map_items_keep_freed_memory(jobs):
     # a fresh interpreter, because the setting outlives a map: this one may have it already
-    src = str(Path(pipeline.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(jobs)], env=env,
-                         capture_output=True, text=True, timeout=120, check=True)
-    faults = [int(f) for f in out.stdout.split()]
+    faults = [int(f) for f in _fresh_interpreter(FAULT_PROBE, str(jobs)).split()]
     assert len(faults) == 2 and max(faults) < 200, faults
 
 
@@ -402,15 +458,15 @@ def test_shared_pretraining_matches_each_stage_alone(tmp_path, monkeypatch, jobs
     alone.mkdir()
     data = build_experiment_data(manifest.corpus, manifest.splits_seed)
     logs = {}
-    with pipeline.one_blas_thread_and_kept_memory():  # as parallel_map trains
-        for spec in manifest.stages:
-            res = run_stage(spec.stage, data.splits, spec.config,
-                            continual_set=data.continual_set,
-                            model_cfg=ModelConfig(n_classes=data.classes,
-                                                  domain_setting=spec.config.domain_setting),
-                            checkpoint_dir=alone)
-            res.model.save(alone / f"{spec.stage}.ckpt")
-            logs[spec.stage] = res.log
+    pipeline.keep_freed_memory()  # as parallel_map trains
+    for spec in manifest.stages:
+        res = run_stage(spec.stage, data.splits, spec.config,
+                        continual_set=data.continual_set,
+                        model_cfg=ModelConfig(n_classes=data.classes,
+                                              domain_setting=spec.config.domain_setting),
+                        checkpoint_dir=alone)
+        res.model.save(alone / f"{spec.stage}.ckpt")
+        logs[spec.stage] = res.log
 
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: jobs)
     shared = tmp_path / "shared"
@@ -450,6 +506,48 @@ def test_one_pretraining_per_distinct_setting(monkeypatch, change, pretrainings)
     assert calls == pretrainings
     assert [r.stage for r in results] == [s.stage for s in manifest.stages]
     assert all(row.stage == res.stage for res in results for row in res.log)
+
+
+# TINY_MANIFEST's corpus, swept over three lambdas of a continual stage
+CONTINUAL_SWEEP = dict(
+    TINY_MANIFEST,
+    stages=[{"stage": "continual_plus_dat", "epochs": 1, "continual_epochs": 1, "batch_size": 4}],
+    sweep={"lambdas": [1e-1, 1e-2, 1e-3], "stage": "continual_plus_dat"})
+
+
+def test_continual_sweep_pretrains_once(tmp_path, monkeypatch):
+    calls = []
+    real = trainer.continual_pretrain
+
+    def counting(model, continual_set, cfg, stage):
+        calls.append(stage)
+        return real(model, continual_set, cfg, stage)
+
+    monkeypatch.setattr(trainer, "continual_pretrain", counting)
+    rows = run_sweep(ExperimentManifest.from_dict(dict(CONTINUAL_SWEEP)), tmp_path, jobs=1)
+    assert len(rows) == 3
+    assert calls == ["continual_plus_dat"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_continual_sweep_matches_each_cell_alone(tmp_path, jobs):
+    manifest = ExperimentManifest.from_dict(dict(CONTINUAL_SWEEP))
+    (spec,) = manifest.stages
+    data = build_experiment_data(manifest.corpus, manifest.splits_seed)
+    rows = []
+    for lam in sorted(manifest.sweep.lambdas, reverse=True):
+        cfg = replace(spec.config, objective=manifest.sweep.objective, grl_lambda=lam)
+        res = run_stage(spec.stage, data.splits, cfg, continual_set=data.continual_set,
+                        model_cfg=ModelConfig(n_classes=data.classes,
+                                              domain_setting=cfg.domain_setting))
+        row = build_report([res], data.splits).rows[0]
+        rows.append({"lambda": lam, "reported": lam in REPORTED_LAMBDAS,
+                     "clean_acc": row.clean_acc, "seen_acc": row.seen_acc,
+                     "unseen_acc": row.unseen_acc})
+    pipeline._write_sweep_csv(tmp_path / "alone.csv", rows)
+    run_sweep(manifest, tmp_path / "sweep", jobs=jobs)
+    assert (tmp_path / "sweep" / "sweep_report.csv").read_bytes() == \
+        (tmp_path / "alone.csv").read_bytes()
 
 
 def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import finite_diff, max_rel_err
 from datforge.errors import ConfigError, DimensionError
-from datforge.gradcore import Optimizer, Parameter, Tape
+from datforge.gradcore import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Optimizer, Parameter, Tape
 
 
 def make_param(value, group="feature_extractor", name="p"):
@@ -231,6 +231,30 @@ class TestOptimizer:
     def test_missing_group_lr_rejected(self):
         with pytest.raises(ConfigError):
             Optimizer([make_param([0.0], "domain_classifier")], {"feature_extractor": 0.1})
+
+    def test_in_place_step_matches_the_out_of_place_formula_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        lrs = {"feature_extractor": 1e-3, "label_predictor": 3e-2, "domain_classifier": 0.5}
+        params = [make_param(rng.normal(size=shape), group, group)
+                  for shape, group in (((7, 5), "feature_extractor"), ((5,), "label_predictor"),
+                                       ((5, 3), "domain_classifier"))]
+        ref = [p.value.copy() for p in params]
+        m = [np.zeros_like(w) for w in ref]
+        v = [np.zeros_like(w) for w in ref]
+        opt = Optimizer(params, lrs)
+        for t in range(1, 301):
+            for i, p in enumerate(params):
+                g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.value.shape)
+                p.grad[...] = g
+                lr = lrs[p.group]
+                m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+                v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g**2
+                m_hat = m[i] / (1.0 - ADAM_BETA1**t)
+                v_hat = v[i] / (1.0 - ADAM_BETA2**t)
+                ref[i] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            opt.step()
+            for p, w in zip(params, ref):
+                assert np.array_equal(p.value, w), (t, p.group)
 
     def test_sgd_mode_is_plain_descent(self):
         p = make_param([1.0], name="w")
