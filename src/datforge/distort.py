@@ -477,6 +477,11 @@ def _triangular_filterbank(n_bins: int, n_bands: int) -> np.ndarray:
     return fb
 
 
+@lru_cache(maxsize=8)
+def _hann(window: int) -> np.ndarray:
+    return np.hanning(window)
+
+
 def featurize(w: Waveform, n_bands: int = N_BANDS) -> np.ndarray:
     """Per-frame log magnitudes of triangular frequency bands (T x n_bands).
 
@@ -487,9 +492,8 @@ def featurize(w: Waveform, n_bands: int = N_BANDS) -> np.ndarray:
     n = w.samples.size
     if n < window:
         raise ValueError(f"clip of {n} samples shorter than one {window}-sample window")
-    t = (n - window) // hop + 1
-    idx = np.arange(window)[None, :] + hop * np.arange(t)[:, None]
-    frames = w.samples[idx] * np.hanning(window)  # hann window tames spectral leakage
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, window)[::hop]
+    frames = frames * _hann(window)  # hann window tames spectral leakage
     mags = np.abs(np.fft.rfft(frames, axis=1))
     fb = _triangular_filterbank(mags.shape[1], n_bands)
     return np.log(np.maximum(mags @ fb.T, FEATURE_FLOOR))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import multiprocessing
 import os
@@ -12,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from . import blas
+from . import runtime
 from .distort import (
     MIN_SPLIT_CLIPS,
     CorpusSplit,
@@ -268,41 +266,6 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-@functools.cache
-def libc_mallopt():
-    """The C library's ``mallopt``, looked up once per process through ctypes; None if absent."""
-    try:
-        fn = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no such symbol, or no dlopen(NULL)
-        return None
-    fn.restype, fn.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
-    return fn
-
-
-# glibc's mallopt parameters (malloc.h) and the values keep_freed_memory gives them
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-MMAP_THRESHOLD_BYTES = 32 << 20  # as high as glibc's dynamic threshold goes on 64-bit
-TRIM_THRESHOLD_BYTES = 64 << 20
-
-
-def keep_freed_memory():
-    """Make the C allocator keep freed blocks of up to 32 MiB in this process, from now on.
-
-    A training step's tape holds dozens of 0.8-1.6 MB arrays.  With glibc's
-    dynamic thresholds, the heap top they leave free when the tape is dropped
-    is trimmed back to the OS, and the next step page-faults all of it in
-    again.  Fixed thresholds (blocks under 32 MiB come from the heap, whose
-    free top is trimmed only beyond 64 MiB) keep those pages.  The setting is
-    not undone: glibc cannot turn its dynamic thresholds back on, and its
-    128 KiB defaults would fault more than the dynamic ones.  It changes no
-    result.  Does nothing where libc has no ``mallopt``.
-    """
-    mallopt = libc_mallopt()
-    if mallopt is not None:
-        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
-
-
 _worker_job = None  # (fn, items), set once in each pool worker by _start_worker
 
 
@@ -325,19 +288,18 @@ def parallel_map(fn, items, jobs: int) -> list:
     failing item (in item order, as a serial loop would meet it) is re-raised
     with its type and message, after cancelling the items not yet started.
 
-    Workers inherit the one BLAS thread that importing ``datforge`` set.  The
-    map runs in this process when it has one worker, when the platform has no
-    ``fork``, when no OpenBLAS thread setter was found (so workers could not
-    be kept from oversubscribing the CPUs), or when other Python threads are
-    running (forking them is unsafe).  Both kinds of item run after
-    ``keep_freed_memory``, which stays in force after the map.
+    Workers inherit the one BLAS thread and the allocator policy that
+    importing ``datforge`` set (``datforge.runtime``).  The map runs in this
+    process when it has one worker, when the platform has no ``fork``, when
+    no OpenBLAS thread setter was found (so workers could not be kept from
+    oversubscribing the CPUs), or when other Python threads are running
+    (forking them is unsafe).
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
     workers = min(jobs, len(items), usable_cpus())
-    keep_freed_memory()
-    if (workers < 2 or not blas.ONE_THREAD
+    if (workers < 2 or not runtime.ONE_THREAD
             or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1):
         return [fn(x) for x in items]

@@ -276,21 +276,6 @@ def continual_pretrain(model: DannModel, continual_set: list[ContinualClip],
     return rows
 
 
-def continual_heldout_loss(model: DannModel, heldout: list[ContinualClip]) -> float:
-    """Mean squared feature distance on distorted/clean pairs, decoder-free proxy.
-
-    Used by tests to track that pretraining brings distorted features toward
-    the clean ones.
-    """
-    total, n = 0.0, 0
-    for c in heldout:
-        zn = model.extractor.extract_features(c.waveform.features)
-        zc = model.extractor.extract_features(c.clean.features)
-        total += float(np.mean((zn - zc) ** 2))
-        n += 1
-    return total / max(n, 1)
-
-
 @dataclass
 class Pretrained:
     """A continually pretrained extractor, for every stage whose ``PRETRAIN_FIELDS`` match."""

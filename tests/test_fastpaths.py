@@ -24,8 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from datforge import blas, distort, pipeline, trainer
-from datforge.blas import blas_function
+from datforge import distort, pipeline, runtime, trainer
+from datforge.runtime import blas_function
 from datforge.cli import EXIT_RUNTIME, main
 from datforge.distort import DIRECT_CONV_MAX_TAPS, Waveform, apply_reverb, make_impulse_response
 from datforge.errors import ConfigError, DatforgeError
@@ -102,6 +102,32 @@ def test_short_ir_is_convolved_exactly():
     ir = np.concatenate([[1.0], rng.normal(0.0, 0.01, DIRECT_CONV_MAX_TAPS - 2)])
     out = apply_reverb(Waveform(samples), ir).samples
     assert np.array_equal(out, reference_reverb(samples, ir))
+
+
+# ---------------------------------------------------------------------------
+# featurize: frames through a strided view of the clip
+# ---------------------------------------------------------------------------
+
+def reference_featurize(w: Waveform) -> np.ndarray:
+    """Frames gathered through an index matrix, each windowed by a fresh Hann window."""
+    window = int(round(distort.WINDOW_S * w.sample_rate))
+    hop = int(round(distort.HOP_S * w.sample_rate))
+    t = (w.samples.size - window) // hop + 1
+    idx = np.arange(window)[None, :] + hop * np.arange(t)[:, None]
+    mags = np.abs(np.fft.rfft(w.samples[idx] * np.hanning(window), axis=1))
+    fb = distort._triangular_filterbank(mags.shape[1], distort.N_BANDS)
+    return np.log(np.maximum(mags @ fb.T, distort.FEATURE_FLOOR))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(400, 20000), seed=st.integers(0, 2**31 - 1))
+@example(n=400, seed=0)  # one window, one frame
+@example(n=559, seed=0)  # one sample short of a second frame
+@example(n=560, seed=0)
+@example(n=16001, seed=0)
+def test_featurize_matches_index_matrix_framing(n, seed):
+    w = Waveform(np.random.default_rng(seed).uniform(-1.0, 1.0, n))
+    assert distort.featurize(w).tobytes() == reference_featurize(w).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +250,12 @@ def test_pooled_features_match_per_frame_path(seed):
 
 
 # ---------------------------------------------------------------------------
-# one BLAS thread per process, set when datforge is imported
+# process policies, set when datforge is imported: one BLAS thread, kept memory
 # ---------------------------------------------------------------------------
 
 blas_threads = blas_function("get_num_threads", ctypes.c_int, [])
 set_blas_threads = blas_function("set_num_threads", None, [ctypes.c_int])
-setter_found = pytest.mark.skipif(not blas.ONE_THREAD or blas_threads is None,
+setter_found = pytest.mark.skipif(not runtime.ONE_THREAD or blas_threads is None,
                                   reason="no OpenBLAS thread getter and setter found")
 
 
@@ -245,7 +271,7 @@ def _fresh_interpreter(code: str, *args, **env_vars) -> str:
 THREADS_PROBE = """
 import ctypes, sys
 import datforge.distort
-from datforge.blas import blas_function
+from datforge.runtime import blas_function
 print(blas_function("get_num_threads", ctypes.c_int, [])(), "datforge.pipeline" in sys.modules)
 """
 
@@ -282,12 +308,41 @@ def test_blas_thread_count_changes_no_result():
         assert np.array_equal(a, c), name
 
 
+# Allocates and frees x @ W + b on a 3136 x 64 frame batch 50 times, as the
+# extractor's first layer does each step, and prints its minor page faults.
+# With glibc's dynamic thresholds the freed heap top is trimmed, and every
+# cycle faults about 750 pages back in.  It imports no more of datforge than
+# distort and enters no map: importing datforge alone must set the policy.
+FAULT_PROBE = """
+import resource
+import numpy as np
+import datforge.distort
+
+rng = np.random.default_rng(0)
+x, W, b = rng.normal(size=(3136, 64)), rng.normal(size=(64, 64)), rng.normal(size=64)
+y = x @ W + b  # the first cycle may grow the heap
+del y
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    y = x @ W + b
+    del y
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not runtime.KEEPS_FREED_MEMORY, reason="no mallopt that takes the thresholds")
+def test_importing_datforge_keeps_freed_memory():
+    # a fresh interpreter, because this one has the policy already
+    faults = int(_fresh_interpreter(FAULT_PROBE))
+    assert faults < 200, faults
+
+
 # ---------------------------------------------------------------------------
 # parallel_map: forked workers with one BLAS thread vs the serial loop
 # ---------------------------------------------------------------------------
 
 forks = pytest.mark.skipif(
-    usable_cpus() < 2 or not blas.ONE_THREAD or blas_threads is None
+    usable_cpus() < 2 or not runtime.ONE_THREAD or blas_threads is None
     or "fork" not in multiprocessing.get_all_start_methods(),
     reason="parallel_map runs in-process on this machine")
 
@@ -307,38 +362,6 @@ def test_parallel_map_runs_every_item_with_one_blas_thread(jobs):
     in_parent = [pid == os.getpid() for _v, pid, _t in out]
     assert all(in_parent) if jobs == 1 else not any(in_parent)
     assert blas_threads() == 1
-
-
-# One item allocates and frees x @ W + b on a 3136 x 64 frame batch 50 times,
-# as the extractor's first layer does each step, and prints its minor page
-# faults.  With glibc's dynamic thresholds the freed heap top is trimmed, and
-# every cycle faults about 750 pages back in.
-FAULT_PROBE = """
-import resource, sys
-import numpy as np
-from datforge.pipeline import parallel_map
-
-def faults_of_50_cycles(_item):
-    rng = np.random.default_rng(0)
-    x, W, b = rng.normal(size=(3136, 64)), rng.normal(size=(64, 64)), rng.normal(size=64)
-    y = x @ W + b  # the first cycle may grow the heap
-    del y
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(50):
-        y = x @ W + b
-        del y
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-
-print(*parallel_map(faults_of_50_cycles, range(2), int(sys.argv[1])))
-"""
-
-
-@pytest.mark.skipif(pipeline.libc_mallopt() is None, reason="libc has no mallopt")
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_parallel_map_items_keep_freed_memory(jobs):
-    # a fresh interpreter, because the setting outlives a map: this one may have it already
-    faults = [int(f) for f in _fresh_interpreter(FAULT_PROBE, str(jobs)).split()]
-    assert len(faults) == 2 and max(faults) < 200, faults
 
 
 def _fail_late_at_zero(x):
@@ -458,7 +481,6 @@ def test_shared_pretraining_matches_each_stage_alone(tmp_path, monkeypatch, jobs
     alone.mkdir()
     data = build_experiment_data(manifest.corpus, manifest.splits_seed)
     logs = {}
-    pipeline.keep_freed_memory()  # as parallel_map trains
     for spec in manifest.stages:
         res = run_stage(spec.stage, data.splits, spec.config,
                         continual_set=data.continual_set,

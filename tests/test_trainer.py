@@ -15,7 +15,6 @@ from datforge.trainer import (
     LogRow,
     TrainConfig,
     build_domain_loss,
-    continual_heldout_loss,
     continual_pretrain,
     dat_step,
     domain_indices,
@@ -28,6 +27,20 @@ from datforge.trainer import (
 )
 
 SMALL_MODEL = ModelConfig(input_dim=64, hidden_dim=16, feature_dim=8, n_classes=4, n_domains=3)
+
+
+def continual_heldout_loss(model: DannModel, heldout) -> float:
+    """Mean squared feature distance on distorted/clean pairs, decoder-free proxy.
+
+    Tracks that pretraining brings distorted features toward the clean ones.
+    """
+    total, n = 0.0, 0
+    for c in heldout:
+        zn = model.extractor.extract_features(c.waveform.features)
+        zc = model.extractor.extract_features(c.clean.features)
+        total += float(np.mean((zn - zc) ** 2))
+        n += 1
+    return total / max(n, 1)
 
 
 def small_cfg(**kw):
