@@ -20,10 +20,12 @@ from .distort import (
     REVERB,
     TRAIN_KINDS,
     TRAIN_PROPORTIONS,
+    Clip,
     _make_spec,
     apply_spec,
     derive_seed,
     largest_remainder_counts,
+    manifest_row,
     read_wav,
     write_manifest,
     write_wav,
@@ -132,11 +134,9 @@ def _cmd_distort(args) -> int:
             spec = dataclasses.replace(spec, snr_db=args.snr)
         elif args.t60 is not None:
             spec = dataclasses.replace(spec, ir_id=args.t60)
-        distorted = apply_spec(clean, spec)
-        write_wav(out_dir / path.name, distorted)
-        entries.append({"id": path.stem, "path": str(out_dir / path.name),
-                        "class": None, "domain": None, "distortion": spec.kind,
-                        "snr_db": spec.snr_db, "split": "distorted"})
+        distorted = Clip(path.stem, apply_spec(clean, spec), None, spec)
+        write_wav(out_dir / path.name, distorted.waveform)
+        entries.append(manifest_row(distorted, "distorted", str(out_dir / path.name)))
         written += 1
     if written == 0:
         print("error: all input files were skipped", file=sys.stderr)

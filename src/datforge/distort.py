@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import wave as _wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -97,50 +97,42 @@ class DistortionSpec:
 
 
 @dataclass
-class LabeledClip:
-    clip_id: str
-    waveform: Waveform
-    label: int
-
-
-@dataclass
-class TargetClip:
-    """A distorted, domain-labeled clip whose class label is hidden from training."""
+class Clip:
+    """A clip of any split: ``label`` is None where the class is hidden (T, the
+    continual set), ``spec`` the distortion applied (None for a clean corpus
+    clip), and ``clean`` the undistorted input of a continual clip."""
 
     clip_id: str
     waveform: Waveform
-    spec: DistortionSpec
-    domain: int
-    _hidden_label: int = field(repr=False, default=-1)
+    label: int | None
+    spec: DistortionSpec | None = None
+    clean: Waveform | None = None
 
+    @property
+    def kind(self) -> str:
+        return CLEAN if self.spec is None else self.spec.kind
 
-@dataclass
-class ContinualClip:
-    """Input/target pair for the denoising pretraining stage."""
-
-    clip_id: str
-    waveform: Waveform  # possibly distorted input
-    clean: Waveform
-    kind: str
+    @property
+    def domain(self) -> int:
+        return KIND_TO_DOMAIN[self.kind]
 
 
 @dataclass
 class CorpusSplit:
-    S: list[LabeledClip]
-    T: list[TargetClip]
-    test_clean: list[LabeledClip]
-    test_seen: list[LabeledClip]
-    test_unseen: list[LabeledClip]
+    S: list[Clip]
+    T: list[Clip]  # distorted, class labels hidden
+    test_clean: list[Clip]
+    test_seen: list[Clip]
+    test_unseen: list[Clip]
+    _target_labels: list[int] = field(repr=False, default_factory=list)  # T's, in order
 
-    def oracle_labeled_target(self, purpose: str) -> list[LabeledClip]:
+    def oracle_labeled_target(self, purpose: str) -> list[Clip]:
         """Class labels of T, readable by the oracle training path only."""
         if purpose != "oracle":
             raise PolicyError(
                 f"target-split class labels are oracle-only (purpose={purpose!r})"
             )
-        return [
-            LabeledClip(c.clip_id, c.waveform, c._hidden_label) for c in self.T
-        ]
+        return [replace(c, label=y) for c, y in zip(self.T, self._target_labels)]
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +144,11 @@ def class_fundamental_hz(label: int) -> float:
 
 
 def synth_corpus(n_per_class: int, classes: int, seed: int,
-                 duration_s: float = 1.0, sr: int = DEFAULT_SR,
-                 id_prefix: str = "clip") -> list[LabeledClip]:
-    """Balanced clean tone-pair corpus: fundamental + 3rd harmonic per class."""
+                 id_prefix: str = "clip") -> list[Clip]:
+    """Balanced clean one-second tone-pair corpus: fundamental + 3rd harmonic per class."""
     if classes < 2 or n_per_class < 1:
         raise ValueError("need classes >= 2 and n_per_class >= 1")
-    t = np.arange(int(round(duration_s * sr))) / sr
+    t = np.arange(DEFAULT_SR) / DEFAULT_SR
     clips = []
     idx = 0
     for label in range(classes):
@@ -169,7 +160,7 @@ def synth_corpus(n_per_class: int, classes: int, seed: int,
             raw = np.sin(2 * np.pi * f0 * t + ph1) + 0.5 * np.sin(2 * np.pi * 3 * f0 * t + ph2)
             env = 0.85 + 0.15 * np.sin(2 * np.pi * rng.uniform(1.0, 3.0) * t + rng.uniform(0, 2 * np.pi))
             samples = amp * env * raw / np.max(np.abs(raw))
-            clips.append(LabeledClip(f"{id_prefix}-{idx:05d}", Waveform(samples, sr), label))
+            clips.append(Clip(f"{id_prefix}-{idx:05d}", Waveform(samples), label))
             idx += 1
     return clips
 
@@ -395,18 +386,17 @@ def _make_spec(kind: str, seed: int, rng, pool: str) -> DistortionSpec:
     return DistortionSpec(CLEAN, seed)
 
 
-def _distort_clips(clips, kinds, seed, bank, pool):
+def _distort_clips(clips, kinds, seed, bank, pool) -> list[Clip]:
     out = []
     for i, (clip, kind) in enumerate(zip(clips, kinds)):
         child = derive_seed(seed, i)
-        rng = np.random.default_rng(child)
-        spec = _make_spec(kind, child, rng, pool)
-        out.append((apply_spec(clip.waveform, spec, bank, pool), spec))
+        spec = _make_spec(kind, child, np.random.default_rng(child), pool)
+        wav = apply_spec(clip.waveform, spec, bank, pool)
+        out.append(Clip(clip.clip_id, wav, clip.label, spec))
     return out
 
 
-def build_splits(corpus: list[LabeledClip], seed: int,
-                 test_corpus: list[LabeledClip] | None = None,
+def build_splits(corpus: list[Clip], seed: int, test_corpus: list[Clip] | None = None,
                  noise_bank=None) -> CorpusSplit:
     """50/50 clean/noisy split of the training corpus plus the three test sets."""
     if len(corpus) < MIN_SPLIT_CLIPS:
@@ -417,31 +407,19 @@ def build_splits(corpus: list[LabeledClip], seed: int,
     half = len(corpus) // 2
     s_clips = [corpus[i] for i in perm[:half]]
     t_clips = [corpus[i] for i in perm[half : 2 * half]]
-
     kinds = _assign_kinds(len(t_clips), TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
-    target = []
-    for clip, (wav, spec) in zip(t_clips, _distort_clips(t_clips, kinds, derive_seed(seed, 1), bank, "train")):
-        target.append(TargetClip(clip.clip_id, wav, spec, KIND_TO_DOMAIN[spec.kind], clip.label))
-
-    test_clean: list[LabeledClip] = []
-    test_seen: list[LabeledClip] = []
-    test_unseen: list[LabeledClip] = []
-    if test_corpus:
-        test_clean = list(test_corpus)
-        seen_kinds = _assign_kinds(len(test_corpus), TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
-        for clip, (wav, _spec) in zip(
-            test_corpus, _distort_clips(test_corpus, seen_kinds, derive_seed(seed, 2), bank, "train")
-        ):
-            test_seen.append(LabeledClip(clip.clip_id, wav, clip.label))
-        unseen_kinds = _assign_kinds(len(test_corpus), (ADDITIVE_BANK, REVERB), (0.7, 0.3), rng)
-        for clip, (wav, _spec) in zip(
-            test_corpus, _distort_clips(test_corpus, unseen_kinds, derive_seed(seed, 3), bank, "unseen")
-        ):
-            test_unseen.append(LabeledClip(clip.clip_id, wav, clip.label))
-    return CorpusSplit(s_clips, target, test_clean, test_seen, test_unseen)
+    target = [replace(c, label=None)
+              for c in _distort_clips(t_clips, kinds, derive_seed(seed, 1), bank, "train")]
+    test_corpus = test_corpus or []
+    seen_kinds = _assign_kinds(len(test_corpus), TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
+    test_seen = _distort_clips(test_corpus, seen_kinds, derive_seed(seed, 2), bank, "train")
+    unseen_kinds = _assign_kinds(len(test_corpus), (ADDITIVE_BANK, REVERB), (0.7, 0.3), rng)
+    test_unseen = _distort_clips(test_corpus, unseen_kinds, derive_seed(seed, 3), bank, "unseen")
+    return CorpusSplit(s_clips, target, list(test_corpus), test_seen, test_unseen,
+                       _target_labels=[c.label for c in t_clips])
 
 
-def build_continual_set(waveforms: list[Waveform], seed: int, noise_bank=None) -> list[ContinualClip]:
+def build_continual_set(waveforms: list[Waveform], seed: int, noise_bank=None) -> list[Clip]:
     """Unlabeled continual-training set: distortion kinds + clean in 0.25 proportions each."""
     bank = noise_bank or ProceduralNoiseBank()
     rng = np.random.default_rng(derive_seed(seed, 0))
@@ -450,7 +428,8 @@ def build_continual_set(waveforms: list[Waveform], seed: int, noise_bank=None) -
     for i, (wav, kind) in enumerate(zip(waveforms, kinds)):
         child = derive_seed(seed, 1, i)
         spec = _make_spec(kind, child, np.random.default_rng(child), "train")
-        out.append(ContinualClip(f"cont-{i:05d}", apply_spec(wav, spec, bank, "train"), wav, kind))
+        distorted = apply_spec(wav, spec, bank, "train")
+        out.append(Clip(f"cont-{i:05d}", distorted, None, spec, clean=wav))
     return out
 
 
@@ -533,21 +512,17 @@ def read_wav(path, expect_sr: int = DEFAULT_SR) -> Waveform:
     return Waveform(pcm.astype(np.float64) / 32767.0, f.getframerate())
 
 
+def manifest_row(clip: Clip, split: str, path: str = "synthetic") -> dict:
+    """One manifest line: the clip's id, source path, class, domain, distortion kind and SNR."""
+    return {"id": clip.clip_id, "path": path, "class": clip.label, "domain": clip.domain,
+            "distortion": clip.kind, "snr_db": None if clip.spec is None else clip.spec.snr_db,
+            "split": split}
+
+
 def manifest_entries(split: CorpusSplit) -> list[dict]:
-    entries = []
-    for clip in split.S:
-        entries.append({"id": clip.clip_id, "path": "synthetic", "class": clip.label,
-                        "domain": 0, "distortion": CLEAN, "snr_db": None, "split": "S"})
-    for clip in split.T:
-        entries.append({"id": clip.clip_id, "path": "synthetic", "class": None,
-                        "domain": clip.domain, "distortion": clip.spec.kind,
-                        "snr_db": clip.spec.snr_db, "split": "T"})
-    for name, clips in (("test_clean", split.test_clean), ("test_seen", split.test_seen),
-                        ("test_unseen", split.test_unseen)):
-        for clip in clips:
-            entries.append({"id": clip.clip_id, "path": "synthetic", "class": clip.label,
-                            "domain": None, "distortion": None, "snr_db": None, "split": name})
-    return entries
+    return [manifest_row(clip, name)
+            for name in ("S", "T", "test_clean", "test_seen", "test_unseen")
+            for clip in getattr(split, name)]
 
 
 def write_manifest(path, entries: list[dict]):

@@ -10,7 +10,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .distort import CorpusSplit, LabeledClip
+from .distort import Clip, CorpusSplit
 from .errors import ConfigError
 from .gradcore import Optimizer, Tape
 from .models import DannModel, Head
@@ -44,12 +44,12 @@ class DomainProbeResult:
     losses: list[float] = field(repr=False, default_factory=list)
 
 
-def evaluate(model: DannModel, test_set: list[LabeledClip]) -> float:
+def evaluate(model: DannModel, test_set: list[Clip]) -> float:
     """Argmax accuracy of the label head on a labeled set."""
     if not test_set:
         raise ValueError("evaluate: empty test set")
+    labels = np.array([c.label for c in test_set], dtype=np.int64)
     logits = model.predict_logits(features_of(test_set))
-    labels = np.array([c.label for c in test_set])
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

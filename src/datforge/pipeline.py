@@ -180,14 +180,11 @@ class ExperimentManifest:
             raise ConfigError("manifest requires 'corpus' and 'stages'")
         if not isinstance(obj["stages"], list):
             raise ConfigError(f"stages must be a JSON list, got {obj['stages']!r}")
-        seed = obj.get("seed", 1)
         return cls(
             corpus=CorpusSpec.from_dict(obj["corpus"]),
-            stages=[StageSpec.from_dict(s, seed) for s in obj["stages"]],
-            splits_seed=obj.get("splits_seed", 7),
-            seed=seed,
+            stages=[StageSpec.from_dict(s, obj.get("seed", cls.seed)) for s in obj["stages"]],
             sweep=SweepSpec.from_dict(obj["sweep"]) if obj.get("sweep") is not None else None,
-            output_dir=obj.get("output_dir", "datforge-out"),
+            **{k: obj[k] for k in ("splits_seed", "seed", "output_dir") if k in obj},
         )
 
     @classmethod

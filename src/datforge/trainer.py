@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import objectives
-from .distort import ContinualClip, CorpusSplit, LabeledClip, TargetClip, derive_seed
+from .distort import CLEAN, Clip, CorpusSplit, derive_seed
 from .errors import ConfigError, DatforgeError, require_count, require_positive
 from .gradcore import (
     DOMAIN_CLASSIFIER,
@@ -123,7 +123,7 @@ def features_of(clips) -> list[np.ndarray]:
     return [c.waveform.features for c in clips]
 
 
-def domain_indices(clips: list[TargetClip], setting: str) -> np.ndarray:
+def domain_indices(clips: list[Clip], setting: str) -> np.ndarray:
     doms = np.array([c.domain for c in clips], dtype=np.int64)
     return (doms > 0).astype(np.int64) if setting == "binary" else doms
 
@@ -199,7 +199,7 @@ def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def train_supervised(data: list[LabeledClip], model: DannModel, cfg: TrainConfig,
+def train_supervised(data: list[Clip], model: DannModel, cfg: TrainConfig,
                      stage: str = "baseline") -> list[LogRow]:
     """Minimize the task loss only; the domain head is untouched."""
     feats = features_of(data)
@@ -225,7 +225,7 @@ def train_supervised(data: list[LabeledClip], model: DannModel, cfg: TrainConfig
     return rows
 
 
-def continual_pretrain(model: DannModel, continual_set: list[ContinualClip],
+def continual_pretrain(model: DannModel, continual_set: list[Clip],
                        cfg: TrainConfig, stage: str = "continual_only") -> list[LogRow]:
     """Denoising proxy pretraining of the extractor alone.
 
@@ -237,7 +237,7 @@ def continual_pretrain(model: DannModel, continual_set: list[ContinualClip],
         return []
     inputs = [c.waveform.features for c in continual_set]
     targets = [c.clean.features for c in continual_set]
-    is_clean = [c.kind == "clean" for c in continual_set]
+    is_clean = [c.kind == CLEAN for c in continual_set]
     mcfg = model.cfg
     dec_rng = np.random.default_rng(derive_seed(cfg.seed, 20))
     dec_w = Parameter(dec_rng.normal(0.0, 1.0 / np.sqrt(mcfg.feature_dim),
@@ -289,7 +289,7 @@ def pretrain_settings(cfg: TrainConfig) -> tuple:
     return tuple(getattr(cfg, name) for name in PRETRAIN_FIELDS)
 
 
-def pretrain(cfg: TrainConfig, continual_set: list[ContinualClip], model_cfg: ModelConfig,
+def pretrain(cfg: TrainConfig, continual_set: list[Clip], model_cfg: ModelConfig,
              stage: str) -> Pretrained:
     """``continual_pretrain`` on a fresh seed-determined model; log rows are named ``stage``.
 
@@ -340,7 +340,7 @@ class StageResult:
 
 
 def run_stage(stage: str, splits: CorpusSplit, cfg: TrainConfig,
-              continual_set: list[ContinualClip] | None = None,
+              continual_set: list[Clip] | None = None,
               model_cfg: ModelConfig | None = None,
               checkpoint_dir=None, pretrained: Pretrained | None = None) -> StageResult:
     """Train one experiment row from a fresh, seed-determined model.

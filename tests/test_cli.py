@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datforge.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _load_manifest, build_parser, main
-from datforge.distort import Waveform, read_wav, synth_corpus, write_wav
+from datforge.distort import KIND_TO_DOMAIN, Waveform, read_wav, synth_corpus, write_wav
 from datforge.errors import ConfigError
 from datforge.models import load_checkpoint
 from datforge.pipeline import (
@@ -108,9 +108,10 @@ class TestManifestParsing:
         entry = st.sampled_from(STAGES).flatmap(lambda stage: st.fixed_dictionaries(
             {"stage": st.just(stage)}, optional={k: values[k] for k in STAGE_KEYS[stage]}))
         stages = data.draw(st.lists(entry, min_size=1, max_size=5, unique_by=lambda e: e["stage"]))
-        obj = {
-            "seed": data.draw(st.integers(0, 2**31 - 1)),
-            "splits_seed": data.draw(st.integers(0, 2**31 - 1)),
+        obj = data.draw(st.fixed_dictionaries({}, optional={
+            "seed": st.integers(0, 2**31 - 1), "splits_seed": st.integers(0, 2**31 - 1),
+            "output_dir": st.text(max_size=20)}))
+        obj |= {
             "corpus": {"classes": data.draw(st.integers(2, 8)),
                        "n_per_class": data.draw(st.integers(5, 200)),
                        "test_n_per_class": data.draw(st.integers(1, 50)),
@@ -485,6 +486,7 @@ class TestDistortCommand:
         entries = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
         kinds = [e["distortion"] for e in entries]
         assert sorted(set(kinds)) == sorted(set(kinds) & {"additive_bank", "gaussian", "reverb"})
+        assert all(e["domain"] == KIND_TO_DOMAIN[e["distortion"]] for e in entries)
         for w in wavs:
             read_wav(w)  # output stays valid 16-bit mono 16 kHz
 

@@ -17,7 +17,7 @@ from datforge.distort import (
     TRAIN_NOISE_FAMILIES,
     TRAIN_PROPORTIONS,
     UNSEEN_NOISE_FAMILIES,
-    ContinualClip,
+    Clip,
     DistortionSpec,
     ProceduralNoiseBank,
     WavNoiseBank,
@@ -41,6 +41,9 @@ from datforge.distort import (
     write_wav,
 )
 from datforge.errors import ConfigError, FormatError, PolicyError
+from datforge.evalharness import evaluate
+from datforge.models import DannModel, ModelConfig
+from datforge.trainer import TrainConfig, train_supervised
 
 
 def measured_snr_db(mixed: Waveform, clean: Waveform) -> float:
@@ -221,32 +224,60 @@ class TestLargestRemainder:
         assert all(abs(c - n * p) <= 1 for c, p in zip(counts, TRAIN_PROPORTIONS))
 
 
+# each distorted set of a split -> its kinds, their proportions and the noise pool it draws from
+DISTORTED_SETS = {
+    "T": (TRAIN_KINDS, TRAIN_PROPORTIONS, "train"),
+    "test_seen": (TRAIN_KINDS, TRAIN_PROPORTIONS, "train"),
+    "test_unseen": ((ADDITIVE_BANK, REVERB), (0.7, 0.3), "unseen"),
+}
+
+
 class TestBuildSplits:
     def test_fifty_fifty_disjoint(self, small_corpus, small_splits):
         assert len(small_splits.S) == len(small_splits.T) == len(small_corpus) // 2
         assert not ({c.clip_id for c in small_splits.S} & {c.clip_id for c in small_splits.T})
 
-    def test_target_kind_proportions_exact(self, small_splits):
-        n = len(small_splits.T)
-        counts = collections.Counter(c.spec.kind for c in small_splits.T)
-        expected = largest_remainder_counts(n, TRAIN_PROPORTIONS)
-        assert [counts[k] for k in TRAIN_KINDS] == expected
+    @pytest.mark.parametrize("name", DISTORTED_SETS)
+    def test_target_kind_proportions_exact(self, small_splits, name):
+        kinds, proportions, _pool = DISTORTED_SETS[name]
+        clips = getattr(small_splits, name)
+        counts = collections.Counter(c.spec.kind for c in clips)
+        expected = largest_remainder_counts(len(clips), proportions)
+        assert [counts[k] for k in kinds] == expected
 
-    def test_snr_in_declared_range(self, small_splits):
-        for clip in small_splits.T:
+    @pytest.mark.parametrize("name", DISTORTED_SETS)
+    def test_snr_in_declared_range(self, small_splits, name):
+        for clip in getattr(small_splits, name):
             if clip.spec.snr_db is not None:
                 assert SNR_RANGE_DB[0] <= clip.spec.snr_db <= SNR_RANGE_DB[1]
 
-    def test_domains_follow_kind_map(self, small_splits):
-        for clip in small_splits.T:
+    @pytest.mark.parametrize("name", DISTORTED_SETS)
+    def test_domains_follow_kind_map(self, small_splits, name):
+        for clip in getattr(small_splits, name):
             assert clip.domain == KIND_TO_DOMAIN[clip.spec.kind]
 
-    def test_labels_hidden_behind_policy(self, small_splits):
+    @pytest.mark.parametrize("name", DISTORTED_SETS)
+    def test_waveform_is_its_spec_applied(self, small_corpus, small_splits, name):
+        pool = DISTORTED_SETS[name][2]
+        source = {c.clip_id: c for c in small_corpus + small_splits.test_clean}
+        for clip in getattr(small_splits, name):
+            expected = apply_spec(source[clip.clip_id].waveform, clip.spec, None, pool)
+            assert np.array_equal(clip.waveform.samples, expected.samples)
+
+    def test_labels_hidden_behind_policy(self, small_corpus, small_splits):
         with pytest.raises(PolicyError):
             small_splits.oracle_labeled_target("training")
+        continual = build_continual_set([c.waveform for c in small_corpus[:8]], seed=3)
+        assert all(c.label is None for c in small_splits.T + continual)
         oracle = small_splits.oracle_labeled_target("oracle")
-        assert len(oracle) == len(small_splits.T)
-        assert all(0 <= c.label < 4 for c in oracle)
+        assert [c.clip_id for c in oracle] == [c.clip_id for c in small_splits.T]
+        labels = {c.clip_id: c.label for c in small_corpus}
+        assert all(c.label == labels[c.clip_id] for c in oracle)
+        model = DannModel(ModelConfig(), seed=0)
+        with pytest.raises(TypeError):
+            evaluate(model, small_splits.T)
+        with pytest.raises(TypeError):
+            train_supervised(small_splits.T, model, TrainConfig(epochs=1))
 
     def test_test_sets_cover_same_clips(self, small_splits):
         ids = {c.clip_id for c in small_splits.test_clean}
@@ -284,7 +315,7 @@ class TestContinualSet:
     def test_clean_entries_match_target(self):
         waves = [c.waveform for c in synth_corpus(4, 4, seed=14)]
         for c in build_continual_set(waves, seed=3):
-            assert isinstance(c, ContinualClip)
+            assert isinstance(c, Clip)
             if c.kind == CLEAN:
                 assert np.array_equal(c.waveform.samples, c.clean.samples)
             else:
@@ -365,6 +396,15 @@ class TestManifest:
             if e["split"] == "T":
                 assert e["class"] is None
                 assert e["domain"] in (1, 2, 3)
+
+    def test_test_entries_record_their_distortion(self, small_splits):
+        for e in manifest_entries(small_splits):
+            if e["split"] == "test_clean":
+                assert (e["distortion"], e["domain"], e["snr_db"]) == (CLEAN, 0, None)
+            elif e["split"] in ("test_seen", "test_unseen"):
+                assert e["distortion"] in TRAIN_KINDS
+                assert e["domain"] == KIND_TO_DOMAIN[e["distortion"]]
+                assert (e["snr_db"] is None) == (e["distortion"] == REVERB)
 
     def test_jsonl_round_trip(self, small_splits, tmp_path):
         import json

@@ -353,7 +353,7 @@ class TestSeparableToyCase:
     def test_baseline_fits_separable_features(self):
         # clips whose features are trivially class-separable: supervised
         # training must reach >= 0.99 train accuracy within 50 epochs
-        from datforge.distort import LabeledClip, Waveform
+        from datforge.distort import Clip, Waveform
 
         rng = np.random.default_rng(0)
         t = np.arange(16000) / 16000
@@ -362,7 +362,7 @@ class TestSeparableToyCase:
             freq = 300.0 * (label + 1)
             for i in range(10):
                 samples = 0.5 * np.sin(2 * np.pi * freq * t + rng.uniform(0, 2 * np.pi))
-                clips.append(LabeledClip(f"toy-{label}-{i}", Waveform(samples), label))
+                clips.append(Clip(f"toy-{label}-{i}", Waveform(samples), label))
         model = DannModel(SMALL_MODEL, seed=0)
         cfg = small_cfg(epochs=50, eta=1e-3, alpha=1e-2, batch_size=8)
         train_supervised(clips, model, cfg)
