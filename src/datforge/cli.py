@@ -12,8 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .distort import (
     ADDITIVE_BANK,
     GAUSSIAN,
@@ -36,6 +34,7 @@ from .pipeline import ExperimentManifest, run_experiment, run_probe, run_sweep, 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+DEFAULT_SNR_DB = 15.0  # what `distort` mixes additive kinds at when --snr is not given
 
 
 def _out_root() -> Path:
@@ -104,8 +103,13 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_distort(args) -> int:
-    if not math.isfinite(args.snr):
-        raise ConfigError(f"--snr must be a finite number of dB, got {args.snr}")
+    for flag, value, kinds in (("--t60", args.t60, (ADDITIVE_BANK, GAUSSIAN)),
+                               ("--snr", args.snr, (REVERB,))):
+        if value is not None and args.kind in kinds:
+            raise ConfigError(f"{flag} is not read by --kind {args.kind}")
+    snr = DEFAULT_SNR_DB if args.snr is None else args.snr
+    if not math.isfinite(snr):
+        raise ConfigError(f"--snr must be a finite number of dB, got {snr}")
     if args.t60 is not None:
         require_positive("--t60", args.t60)
     require_count("--seed", args.seed, 0)
@@ -129,9 +133,9 @@ def _cmd_distort(args) -> int:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
         child = derive_seed(args.seed, i)
-        spec = _make_spec(kind, child, np.random.default_rng(child), "train")
+        spec = _make_spec(kind, child, "train")
         if kind in (ADDITIVE_BANK, GAUSSIAN):
-            spec = dataclasses.replace(spec, snr_db=args.snr)
+            spec = dataclasses.replace(spec, snr_db=snr)
         elif args.t60 is not None:
             spec = dataclasses.replace(spec, ir_id=args.t60)
         distorted = Clip(path.stem, apply_spec(clean, spec), None, spec)
@@ -174,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("out_dir")
     p_dist.add_argument("--kind", default="mixed",
                         choices=["mixed", ADDITIVE_BANK, GAUSSIAN, REVERB])
-    p_dist.add_argument("--snr", type=float, default=15.0, help="SNR in dB for additive kinds")
+    p_dist.add_argument("--snr", type=float, default=None,
+                        help=f"SNR in dB for the additive kinds (default {DEFAULT_SNR_DB:g})")
     p_dist.add_argument("--t60", type=float, default=None, help="reverb decay in seconds, > 0")
     p_dist.add_argument("--seed", type=int, default=0)
     p_dist.set_defaults(fn=_cmd_distort)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, PolicyError
 
-DEFAULT_SR = 16000
+DEFAULT_SR = 16000  # the one rate datforge reads, synthesizes and writes (SUPERB's speech rate)
 
 ADDITIVE_BANK = "additive_bank"
 GAUSSIAN = "gaussian"
@@ -50,7 +50,6 @@ def derive_seed(seed: int, *key: int) -> int:
 @dataclass
 class Waveform:
     samples: np.ndarray
-    sample_rate: int = DEFAULT_SR
     gain_applied: float = 1.0  # peak-normalization gain, 1.0 if none
     _features: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -72,11 +71,11 @@ class Waveform:
         return self._features
 
 
-def _peak_normalize(samples: np.ndarray, sr: int) -> Waveform:
+def _peak_normalize(samples: np.ndarray) -> Waveform:
     peak = np.max(np.abs(samples))
     if peak > 1.0:
-        return Waveform(samples / peak, sr, gain_applied=1.0 / peak)
-    return Waveform(samples, sr)
+        return Waveform(samples / peak, gain_applied=1.0 / peak)
+    return Waveform(samples)
 
 
 @dataclass
@@ -169,24 +168,24 @@ def synth_corpus(n_per_class: int, classes: int, seed: int,
 # noise bank
 # ---------------------------------------------------------------------------
 
-def _tone_burst_babble(n, sr, rng):
+def _tone_burst_babble(n, rng):
     # bursts concentrated where the corpus classes live, so they actually mask
     out = np.zeros(n)
     for _ in range(8):
         freq = rng.uniform(150.0, 1600.0)
-        dur = int(rng.uniform(0.1, 0.6) * sr)
+        dur = int(rng.uniform(0.1, 0.6) * DEFAULT_SR)
         start = int(rng.integers(0, max(1, n - dur)))
-        t = np.arange(dur) / sr
+        t = np.arange(dur) / DEFAULT_SR
         burst = np.hanning(dur) * np.sin(2 * np.pi * freq * t + rng.uniform(0, 2 * np.pi))
         stop = min(start + dur, n)
         out[start:stop] += burst[: stop - start]
     return out
 
 
-def _band_noise(n, sr, rng, center=None, width=None):
+def _band_noise(n, rng, center=None, width=None):
     white = rng.standard_normal(n)
     spec = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, 1.0 / sr)
+    freqs = np.fft.rfftfreq(n, 1.0 / DEFAULT_SR)
     if center is None:
         center = rng.uniform(200.0, 2500.0)
     if width is None:
@@ -197,25 +196,25 @@ def _band_noise(n, sr, rng, center=None, width=None):
     return np.fft.irfft(spec * mask, n)
 
 
-def _clicks(n, sr, rng):
+def _clicks(n, rng):
     out = np.zeros(n)
     for _ in range(int(rng.integers(20, 60))):
         out[rng.integers(0, n)] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0)
-    kernel = np.exp(-np.arange(int(0.005 * sr)) / (0.001 * sr))
+    kernel = np.exp(-np.arange(int(0.005 * DEFAULT_SR)) / (0.001 * DEFAULT_SR))
     return np.convolve(out, kernel)[:n]
 
 
-def _chirp(n, sr, rng):
-    t = np.arange(n) / sr
+def _chirp(n, rng):
+    t = np.arange(n) / DEFAULT_SR
     f0 = rng.uniform(100.0, 500.0)
     f1 = rng.uniform(1000.0, 4000.0)
     dur = t[-1] if n > 1 else 1.0
     return np.sin(2 * np.pi * (f0 * t + (f1 - f0) / (2 * dur) * t**2))
 
 
-def _am_narrowband(n, sr, rng):
-    carrier = _band_noise(n, sr, rng, center=rng.uniform(200.0, 1500.0), width=100.0)
-    t = np.arange(n) / sr
+def _am_narrowband(n, rng):
+    carrier = _band_noise(n, rng, center=rng.uniform(200.0, 1500.0), width=100.0)
+    t = np.arange(n) / DEFAULT_SR
     mod = 1.0 + 0.8 * np.sin(2 * np.pi * rng.uniform(2.0, 8.0) * t)
     return carrier * mod
 
@@ -224,8 +223,8 @@ def _with_broadband_bed(gen):
     # each generator keeps its character on top of a broadband bed, like real
     # recorded noise; purely narrowband noise would leave most feature bands
     # at the silence floor
-    def wrapped(n, sr, rng):
-        character = gen(n, sr, rng)
+    def wrapped(n, rng):
+        character = gen(n, rng)
         rms = np.sqrt(np.mean(character**2)) or 1.0
         return character + 0.6 * rms * rng.standard_normal(n)
 
@@ -244,11 +243,11 @@ _NOISE_GENERATORS = {
 class ProceduralNoiseBank:
     """Deterministic stand-in for a real noise corpus, with disjoint seen/unseen pools."""
 
-    def draw(self, pool: str, n: int, sr: int, seed: int) -> tuple[np.ndarray, str]:
+    def draw(self, pool: str, n: int, seed: int) -> tuple[np.ndarray, str]:
         families = TRAIN_NOISE_FAMILIES if pool == "train" else UNSEEN_NOISE_FAMILIES
         rng = np.random.default_rng(seed)
         name = families[int(rng.integers(len(families)))]
-        return _NOISE_GENERATORS[name](n, sr, rng), name
+        return _NOISE_GENERATORS[name](n, rng), name
 
 
 class WavNoiseBank:
@@ -272,7 +271,7 @@ class WavNoiseBank:
             if not clips:
                 raise ConfigError(f"noise directory leaves the {pool!r} pool empty")
 
-    def draw(self, pool: str, n: int, sr: int, seed: int) -> tuple[np.ndarray, str]:
+    def draw(self, pool: str, n: int, seed: int) -> tuple[np.ndarray, str]:
         rng = np.random.default_rng(seed)
         clips = self.pools[pool]
         name, clip = clips[int(rng.integers(len(clips)))]
@@ -293,15 +292,10 @@ def snr_gain(clean: np.ndarray, noise: np.ndarray, snr_db: float) -> float:
     return float(np.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0))))
 
 
-def mix_at_snr(clean: Waveform, noise, snr_db: float) -> Waveform:
-    """Add noise scaled to the requested SNR; peak-normalize the result if needed."""
-    noise = noise.samples if isinstance(noise, Waveform) else np.asarray(noise, dtype=np.float64)
-    n = clean.samples.size
-    if noise.size < n:
-        noise = np.tile(noise, int(np.ceil(n / noise.size)))
-    noise = noise[:n]
+def mix_at_snr(clean: Waveform, noise: np.ndarray, snr_db: float) -> Waveform:
+    """Add ``noise`` (as long as the clip) at the requested SNR; peak-normalize if needed."""
     g = snr_gain(clean.samples, noise, snr_db)
-    return _peak_normalize(clean.samples + g * noise, clean.sample_rate)
+    return _peak_normalize(clean.samples + g * noise)
 
 
 def add_gaussian(clean: Waveform, snr_db: float, seed: int) -> Waveform:
@@ -309,11 +303,11 @@ def add_gaussian(clean: Waveform, snr_db: float, seed: int) -> Waveform:
     return mix_at_snr(clean, rng.standard_normal(clean.samples.size), snr_db)
 
 
-def make_impulse_response(t60_s: float, seed: int, sr: int = DEFAULT_SR) -> np.ndarray:
+def make_impulse_response(t60_s: float, seed: int) -> np.ndarray:
     """Exponentially decaying noise IR with unit direct path and the given T60."""
     rng = np.random.default_rng(seed)
-    n = max(2, int(t60_s * sr))
-    decay = np.exp(-np.arange(n) / sr * (np.log(1000.0) / t60_s))
+    n = max(2, int(t60_s * DEFAULT_SR))
+    decay = np.exp(-np.arange(n) / DEFAULT_SR * (np.log(1000.0) / t60_s))
     ir = 0.3 * rng.standard_normal(n) * decay
     ir[0] = 1.0
     return ir
@@ -339,7 +333,7 @@ def apply_reverb(clean: Waveform, ir: np.ndarray) -> Waveform:
     else:
         size = 1 << (n + ir.size - 2).bit_length()  # power of two >= n + m - 1: no wrap-around
         out = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(ir, size), size)[:n]
-    return _peak_normalize(out, clean.sample_rate)
+    return _peak_normalize(out)
 
 
 def apply_spec(clean: Waveform, spec: DistortionSpec, bank=None, pool: str = "train") -> Waveform:
@@ -350,9 +344,9 @@ def apply_spec(clean: Waveform, spec: DistortionSpec, bank=None, pool: str = "tr
         return add_gaussian(clean, spec.snr_db, spec.seed)
     if spec.kind == ADDITIVE_BANK:
         bank = bank or ProceduralNoiseBank()
-        noise, _name = bank.draw(pool, clean.samples.size, clean.sample_rate, spec.seed)
+        noise, _name = bank.draw(pool, clean.samples.size, spec.seed)
         return mix_at_snr(clean, noise, spec.snr_db)
-    ir = make_impulse_response(spec.ir_id, spec.seed, clean.sample_rate)
+    ir = make_impulse_response(spec.ir_id, spec.seed)
     return apply_reverb(clean, ir)
 
 
@@ -377,7 +371,9 @@ def _assign_kinds(n: int, kinds, proportions, rng) -> list[str]:
     return [assignment[i] for i in rng.permutation(n)]
 
 
-def _make_spec(kind: str, seed: int, rng, pool: str) -> DistortionSpec:
+def _make_spec(kind: str, seed: int, pool: str) -> DistortionSpec:
+    """The spec of one clip, its SNR or T60 drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
     if kind in (ADDITIVE_BANK, GAUSSIAN):
         return DistortionSpec(kind, seed, snr_db=float(rng.uniform(*SNR_RANGE_DB)))
     if kind == REVERB:
@@ -390,7 +386,7 @@ def _distort_clips(clips, kinds, seed, bank, pool) -> list[Clip]:
     out = []
     for i, (clip, kind) in enumerate(zip(clips, kinds)):
         child = derive_seed(seed, i)
-        spec = _make_spec(kind, child, np.random.default_rng(child), pool)
+        spec = _make_spec(kind, child, pool)
         wav = apply_spec(clip.waveform, spec, bank, pool)
         out.append(Clip(clip.clip_id, wav, clip.label, spec))
     return out
@@ -398,37 +394,39 @@ def _distort_clips(clips, kinds, seed, bank, pool) -> list[Clip]:
 
 def build_splits(corpus: list[Clip], seed: int, test_corpus: list[Clip] | None = None,
                  noise_bank=None) -> CorpusSplit:
-    """50/50 clean/noisy split of the training corpus plus the three test sets."""
+    """50/50 clean/noisy split of the training corpus plus the three test sets.
+
+    The clip left over from an odd-sized corpus goes to S.
+    """
     if len(corpus) < MIN_SPLIT_CLIPS:
         raise ValueError(f"corpus too small to split ({len(corpus)} < {MIN_SPLIT_CLIPS})")
-    bank = noise_bank or ProceduralNoiseBank()
     rng = np.random.default_rng(derive_seed(seed, 0))
     perm = rng.permutation(len(corpus))
     half = len(corpus) // 2
-    s_clips = [corpus[i] for i in perm[:half]]
+    s_clips = [corpus[i] for i in (*perm[:half], *perm[2 * half:])]
     t_clips = [corpus[i] for i in perm[half : 2 * half]]
     kinds = _assign_kinds(len(t_clips), TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
     target = [replace(c, label=None)
-              for c in _distort_clips(t_clips, kinds, derive_seed(seed, 1), bank, "train")]
+              for c in _distort_clips(t_clips, kinds, derive_seed(seed, 1), noise_bank, "train")]
     test_corpus = test_corpus or []
     seen_kinds = _assign_kinds(len(test_corpus), TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
-    test_seen = _distort_clips(test_corpus, seen_kinds, derive_seed(seed, 2), bank, "train")
+    test_seen = _distort_clips(test_corpus, seen_kinds, derive_seed(seed, 2), noise_bank, "train")
     unseen_kinds = _assign_kinds(len(test_corpus), (ADDITIVE_BANK, REVERB), (0.7, 0.3), rng)
-    test_unseen = _distort_clips(test_corpus, unseen_kinds, derive_seed(seed, 3), bank, "unseen")
+    test_unseen = _distort_clips(test_corpus, unseen_kinds, derive_seed(seed, 3), noise_bank,
+                                 "unseen")
     return CorpusSplit(s_clips, target, list(test_corpus), test_seen, test_unseen,
                        _target_labels=[c.label for c in t_clips])
 
 
 def build_continual_set(waveforms: list[Waveform], seed: int, noise_bank=None) -> list[Clip]:
     """Unlabeled continual-training set: distortion kinds + clean in 0.25 proportions each."""
-    bank = noise_bank or ProceduralNoiseBank()
     rng = np.random.default_rng(derive_seed(seed, 0))
     kinds = _assign_kinds(len(waveforms), CONTINUAL_KINDS, CONTINUAL_PROPORTIONS, rng)
     out = []
     for i, (wav, kind) in enumerate(zip(waveforms, kinds)):
         child = derive_seed(seed, 1, i)
-        spec = _make_spec(kind, child, np.random.default_rng(child), "train")
-        distorted = apply_spec(wav, spec, bank, "train")
+        spec = _make_spec(kind, child, "train")
+        distorted = apply_spec(wav, spec, noise_bank, "train")
         out.append(Clip(f"cont-{i:05d}", distorted, None, spec, clean=wav))
     return out
 
@@ -444,11 +442,11 @@ HOP_S = 0.010
 
 
 @lru_cache(maxsize=8)
-def _triangular_filterbank(n_bins: int, n_bands: int) -> np.ndarray:
-    centers = np.linspace(0, n_bins - 1, n_bands + 2)
-    fb = np.zeros((n_bands, n_bins))
+def _triangular_filterbank(n_bins: int) -> np.ndarray:
+    centers = np.linspace(0, n_bins - 1, N_BANDS + 2)
+    fb = np.zeros((N_BANDS, n_bins))
     bins = np.arange(n_bins)
-    for k in range(n_bands):
+    for k in range(N_BANDS):
         left, mid, right = centers[k], centers[k + 1], centers[k + 2]
         up = (bins - left) / max(mid - left, 1e-12)
         down = (right - bins) / max(right - mid, 1e-12)
@@ -461,20 +459,20 @@ def _hann(window: int) -> np.ndarray:
     return np.hanning(window)
 
 
-def featurize(w: Waveform, n_bands: int = N_BANDS) -> np.ndarray:
-    """Per-frame log magnitudes of triangular frequency bands (T x n_bands).
+def featurize(w: Waveform) -> np.ndarray:
+    """Per-frame log magnitudes of triangular frequency bands (T x N_BANDS).
 
     Computes afresh and keeps nothing; ``Waveform.features`` is the kept copy.
     """
-    window = int(round(WINDOW_S * w.sample_rate))
-    hop = int(round(HOP_S * w.sample_rate))
+    window = int(round(WINDOW_S * DEFAULT_SR))
+    hop = int(round(HOP_S * DEFAULT_SR))
     n = w.samples.size
     if n < window:
         raise ValueError(f"clip of {n} samples shorter than one {window}-sample window")
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, window)[::hop]
     frames = frames * _hann(window)  # hann window tames spectral leakage
     mags = np.abs(np.fft.rfft(frames, axis=1))
-    fb = _triangular_filterbank(mags.shape[1], n_bands)
+    fb = _triangular_filterbank(mags.shape[1])
     return np.log(np.maximum(mags @ fb.T, FEATURE_FLOOR))
 
 
@@ -488,11 +486,12 @@ def write_wav(path, w: Waveform):
     with _wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
-        f.setframerate(w.sample_rate)
+        f.setframerate(DEFAULT_SR)
         f.writeframes(pcm.tobytes())
 
 
-def read_wav(path, expect_sr: int = DEFAULT_SR) -> Waveform:
+def read_wav(path) -> Waveform:
+    """A 16 kHz mono 16-bit PCM WAV; any other rate or format is a ``FormatError``."""
     try:
         f = _wave.open(str(path), "rb")
     except (_wave.Error, EOFError) as exc:
@@ -504,12 +503,12 @@ def read_wav(path, expect_sr: int = DEFAULT_SR) -> Waveform:
             raise FormatError(f"{path}: sampwidth={f.getsampwidth()} bytes, expected 16-bit PCM")
         if f.getcomptype() != "NONE":
             raise FormatError(f"{path}: comptype={f.getcomptype()!r}, expected uncompressed PCM")
-        if expect_sr is not None and f.getframerate() != expect_sr:
-            raise FormatError(f"{path}: framerate={f.getframerate()}, expected {expect_sr}")
+        if f.getframerate() != DEFAULT_SR:
+            raise FormatError(f"{path}: framerate={f.getframerate()}, expected {DEFAULT_SR}")
         pcm = np.frombuffer(f.readframes(f.getnframes()), dtype="<i2")
     if pcm.size == 0:
         raise FormatError(f"{path}: zero frames")
-    return Waveform(pcm.astype(np.float64) / 32767.0, f.getframerate())
+    return Waveform(pcm.astype(np.float64) / 32767.0)
 
 
 def manifest_row(clip: Clip, split: str, path: str = "synthetic") -> dict:

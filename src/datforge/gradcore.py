@@ -28,18 +28,13 @@ class Parameter:
     value: np.ndarray
     group: str
     name: str = ""
-    grad: np.ndarray = field(default=None)  # type: ignore[assignment]
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64)
         if self.group not in GROUPS and self.group != "aux":
             raise ConfigError(f"unknown parameter group {self.group!r}")
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        if self.grad.shape != self.value.shape:
-            raise DimensionError(
-                f"grad shape {self.grad.shape} != value shape {self.value.shape}"
-            )
+        self.grad = np.zeros_like(self.value)
 
     def zero_grad(self):
         self.grad[...] = 0.0

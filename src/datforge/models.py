@@ -99,7 +99,6 @@ class DannModel:
 
     def __init__(self, cfg: ModelConfig, seed: int):
         self.cfg = cfg
-        self.seed = seed
         rng = np.random.default_rng(seed)
         self.extractor = FeatureExtractor(cfg, rng)
         self.label_head = Head(rng, cfg.feature_dim, cfg.n_classes, LABEL_PREDICTOR, "y.out")

@@ -141,6 +141,9 @@ class SweepSpec:
             raise ConfigError(f"sweep lambdas must be a non-empty list, got {self.lambdas!r}")
         for lam in self.lambdas:
             require_positive("sweep lambda", lam)
+        repeated = sorted({lam for lam in self.lambdas if self.lambdas.count(lam) > 1})
+        if repeated:
+            raise ConfigError(f"sweep lambda(s) {repeated} are listed more than once")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepSpec":
@@ -318,9 +321,7 @@ def _model_cfg(cfg: TrainConfig, data: ExperimentData) -> ModelConfig:
 
 def _train_stage(stage: str, cfg: TrainConfig, data: ExperimentData,
                  checkpoint_dir=None, pretrained: Pretrained | None = None) -> StageResult:
-    return run_stage(stage, data.splits, cfg, continual_set=data.continual_set or None,
-                     model_cfg=_model_cfg(cfg, data), checkpoint_dir=checkpoint_dir,
-                     pretrained=pretrained)
+    return run_stage(stage, data.splits, cfg, _model_cfg(cfg, data), checkpoint_dir, pretrained)
 
 
 def stage_groups(stages: list[StageSpec]) -> list[list[StageSpec]]:

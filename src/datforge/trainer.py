@@ -336,41 +336,35 @@ class StageResult:
     grl_lambda: float | None
     model: DannModel
     log: list[LogRow] = field(repr=False, default_factory=list)
-    continual_checkpoint: object = None  # path set by run_stage when applicable
 
 
-def run_stage(stage: str, splits: CorpusSplit, cfg: TrainConfig,
-              continual_set: list[Clip] | None = None,
-              model_cfg: ModelConfig | None = None,
+def run_stage(stage: str, splits: CorpusSplit, cfg: TrainConfig, model_cfg: ModelConfig,
               checkpoint_dir=None, pretrained: Pretrained | None = None) -> StageResult:
     """Train one experiment row from a fresh, seed-determined model.
 
-    A continual stage starts from a copy of ``pretrained``'s extractor, or
-    pretrains its own when given none; either way its log holds the
-    pretraining's rows under its own name.
+    A continual stage starts from a copy of ``pretrained``'s extractor, which
+    it requires (``pretrain``), and its log holds the pretraining's rows under
+    its own name; with a ``checkpoint_dir`` that start is saved as
+    ``<stage>_continual.ckpt``.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
-    if stage in CONTINUAL_STAGES and continual_set is None:
-        raise ConfigError(f"stage {stage!r} requires a continual training set")
-    mcfg = model_cfg or ModelConfig(domain_setting=cfg.domain_setting)
-    if mcfg.domain_setting != cfg.domain_setting:
+    if model_cfg.domain_setting != cfg.domain_setting:
         raise ConfigError("model and trainer disagree on domain_setting")
-    model = DannModel(mcfg, derive_seed(cfg.seed, 0))
+    model = DannModel(model_cfg, derive_seed(cfg.seed, 0))
     log: list[LogRow] = []
-    ckpt_path = None
     if stage in CONTINUAL_STAGES:
-        pre = pretrained or pretrain(cfg, continual_set, mcfg, stage)
-        if pre.settings != pretrain_settings(cfg):
+        if pretrained is None:
+            raise ConfigError(f"stage {stage!r} requires a pretrained extractor "
+                              f"(trainer.pretrain)")
+        if pretrained.settings != pretrain_settings(cfg):
             raise ConfigError(f"stage {stage!r} pretrains with {PRETRAIN_FIELDS} = "
-                              f"{pretrain_settings(cfg)}, not {pre.settings}")
-        for p, value in zip(model.extractor.parameters(), pre.extractor):
+                              f"{pretrain_settings(cfg)}, not {pretrained.settings}")
+        for p, value in zip(model.extractor.parameters(), pretrained.extractor):
             p.value[...] = value
-        log += [replace(row, stage=stage) for row in pre.log]
+        log += [replace(row, stage=stage) for row in pretrained.log]
         if checkpoint_dir is not None:
-            ckpt_path = str(checkpoint_dir / f"{stage}_continual.ckpt")
-            model.save(ckpt_path)
-            model.load(ckpt_path)  # DAT/supervised phase starts from the stored bytes
+            model.save(checkpoint_dir / f"{stage}_continual.ckpt")
     if stage == "baseline" or stage == "continual_only":
         log += train_supervised(splits.S, model, cfg, stage)
     elif stage == "oracle":
@@ -380,5 +374,5 @@ def run_stage(stage: str, splits: CorpusSplit, cfg: TrainConfig,
         log += train_dat(splits, model, cfg, stage)
     is_dat = stage in DAT_STAGES
     return StageResult(stage, cfg.objective if is_dat else None,
-                       cfg.grl_lambda if is_dat else None, model, log, ckpt_path)
+                       cfg.grl_lambda if is_dat else None, model, log)
 

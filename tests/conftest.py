@@ -1,3 +1,5 @@
+import wave
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,16 @@ def finite_diff(f, x, eps=1e-6):
 def max_rel_err(analytic, numeric):
     scale = max(np.max(np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric)) / scale)
+
+
+def write_pcm_wav(path, samples, rate: int):
+    """A mono 16-bit PCM WAV at any ``rate``, written with ``wave`` alone."""
+    pcm = np.clip(np.round(np.asarray(samples) * 32767.0), -32768, 32767).astype("<i2")
+    with wave.open(str(path), "wb") as f:
+        f.setnchannels(1)
+        f.setsampwidth(2)
+        f.setframerate(rate)
+        f.writeframes(pcm.tobytes())
 
 
 @pytest.fixture(scope="session")

@@ -121,7 +121,8 @@ class TestManifestParsing:
         }
         adversarial = [e["stage"] for e in stages if e["stage"] in DAT_STAGES]
         if adversarial and data.draw(st.booleans()):
-            obj["sweep"] = {"lambdas": data.draw(st.lists(positive, min_size=1, max_size=4)),
+            obj["sweep"] = {"lambdas": data.draw(st.lists(positive, min_size=1, max_size=4,
+                                                           unique=True)),
                             "stage": data.draw(st.sampled_from(adversarial)),
                             "objective": data.draw(st.sampled_from(OBJECTIVES))}
         m = ExperimentManifest.from_dict(obj)
@@ -180,6 +181,8 @@ class TestManifestParsing:
         ("corpus", {"seed": -3}, "corpus seed must be an integer >= 0, got -3"),
         ("sweep", {"lambdas": [1e-2, 1e400]}, "sweep lambda must be a finite number > 0, got inf"),
         ("sweep", {"lambdas": 0.1}, "sweep lambdas must be a non-empty list, got 0.1"),
+        ("sweep", {"lambdas": [0.01, 0.1, 0.01]},
+         "sweep lambda(s) [0.01] are listed more than once"),
         ("sweep", {"objective": "hinge"}, "unknown sweep objective 'hinge'"),
         ("sweep", {"stage": "baseline"}, "sweep stage 'baseline' reads no lambda"),
         ("manifest", {"stages": [dict(BASELINE, **{"lambda": 0.5, "objective": "bce", "beta": 3.0,
@@ -487,6 +490,7 @@ class TestDistortCommand:
         kinds = [e["distortion"] for e in entries]
         assert sorted(set(kinds)) == sorted(set(kinds) & {"additive_bank", "gaussian", "reverb"})
         assert all(e["domain"] == KIND_TO_DOMAIN[e["distortion"]] for e in entries)
+        assert all(e["snr_db"] == 15.0 for e in entries if e["distortion"] != "reverb")
         for w in wavs:
             read_wav(w)  # output stays valid 16-bit mono 16 kHz
 
@@ -523,6 +527,9 @@ class TestDistortCommand:
         (["--t60", "nan"], "--t60 must be a finite number > 0, got nan"),
         (["--t60", "inf"], "--t60 must be a finite number > 0, got inf"),
         (["--seed=-1"], "--seed must be an integer >= 0, got -1"),
+        (["--kind", "gaussian", "--t60", "0.5"], "--t60 is not read by --kind gaussian"),
+        (["--kind", "additive_bank", "--t60", "0.5"], "--t60 is not read by --kind additive_bank"),
+        (["--kind", "reverb", "--snr", "3"], "--snr is not read by --kind reverb"),
     ])
     def test_bad_flags_rejected_before_output(self, wav_dir, tmp_path, capsys, flags, message):
         out = tmp_path / "o"

@@ -1,8 +1,13 @@
 import collections
+import json
+import tempfile
+import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import write_pcm_wav
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from datforge.distort import (
@@ -11,6 +16,7 @@ from datforge.distort import (
     CONTINUAL_KINDS,
     GAUSSIAN,
     KIND_TO_DOMAIN,
+    MIN_SPLIT_CLIPS,
     REVERB,
     SNR_RANGE_DB,
     TRAIN_KINDS,
@@ -158,16 +164,16 @@ class TestDistortionSpec:
 class TestNoiseBank:
     def test_pools_draw_disjoint_families(self):
         bank = ProceduralNoiseBank()
-        train_families = {bank.draw("train", 1600, 16000, s)[1] for s in range(30)}
-        unseen_families = {bank.draw("unseen", 1600, 16000, s)[1] for s in range(30)}
+        train_families = {bank.draw("train", 1600, s)[1] for s in range(30)}
+        unseen_families = {bank.draw("unseen", 1600, s)[1] for s in range(30)}
         assert train_families <= set(TRAIN_NOISE_FAMILIES)
         assert unseen_families <= set(UNSEEN_NOISE_FAMILIES)
         assert not (train_families & unseen_families)
 
     def test_draw_deterministic(self):
         bank = ProceduralNoiseBank()
-        a, fa = bank.draw("train", 1600, 16000, 5)
-        b, fb = bank.draw("train", 1600, 16000, 5)
+        a, fa = bank.draw("train", 1600, 5)
+        b, fb = bank.draw("train", 1600, 5)
         assert fa == fb and np.array_equal(a, b)
 
 
@@ -184,10 +190,10 @@ class TestWavNoiseBank:
     def test_draws_from_samples_kept_when_built(self, noise_dir):
         bank = WavNoiseBank(noise_dir)
         keys = [(pool, s) for pool in ("train", "unseen") for s in range(6)]
-        before = [bank.draw(pool, 4000, 16000, s) for pool, s in keys]
+        before = [bank.draw(pool, 4000, s) for pool, s in keys]
         for path in noise_dir.glob("*.wav"):
             path.unlink()
-        after = [bank.draw(pool, 4000, 16000, s) for pool, s in keys]
+        after = [bank.draw(pool, 4000, s) for pool, s in keys]
         pools = {"train": {"n0.wav", "n1.wav", "n2.wav", "n4.wav"}, "unseen": {"n3.wav", "n5.wav"}}
         assert all(name in pools[pool] for (pool, _s), (_x, name) in zip(keys, before))
         for (a, fa), (b, fb) in zip(before, after):
@@ -202,9 +208,10 @@ class TestWavNoiseBank:
         with pytest.raises(ConfigError, match="no WAV files"):
             WavNoiseBank(tmp_path)
 
-    def test_wrong_rate_wav_rejected_when_built(self, noise_dir):
-        write_wav(noise_dir / "slow.wav", Waveform(0.1 * np.ones(800), 8000))
-        with pytest.raises(ConfigError, match="slow.wav"):
+    @pytest.mark.parametrize("rate", [8000, 44100])
+    def test_wrong_rate_wav_rejected_when_built(self, noise_dir, rate):
+        write_pcm_wav(noise_dir / "slow.wav", 0.1 * np.ones(800), rate)
+        with pytest.raises(ConfigError, match=f"slow.wav: framerate={rate}, expected 16000"):
             WavNoiseBank(noise_dir)
 
 
@@ -236,6 +243,22 @@ class TestBuildSplits:
     def test_fifty_fifty_disjoint(self, small_corpus, small_splits):
         assert len(small_splits.S) == len(small_splits.T) == len(small_corpus) // 2
         assert not ({c.clip_id for c in small_splits.S} & {c.clip_id for c in small_splits.T})
+
+    @given(classes=st.integers(2, 5), n_per_class=st.integers(3, 9))
+    @settings(max_examples=20, deadline=None)
+    def test_every_clip_lands_in_s_or_t(self, classes, n_per_class):
+        assume(classes * n_per_class >= MIN_SPLIT_CLIPS)
+        corpus = synth_corpus(n_per_class, classes, seed=1)
+        split = build_splits(corpus, seed=7)
+        s_ids, t_ids = {c.clip_id for c in split.S}, {c.clip_id for c in split.T}
+        assert not (s_ids & t_ids)
+        assert s_ids | t_ids == {c.clip_id for c in corpus}
+        assert len(split.S) - len(split.T) in (0, 1)
+        with tempfile.TemporaryDirectory() as d:  # as run_experiment writes it
+            path = Path(d) / "corpus_manifest.jsonl"
+            write_manifest(path, manifest_entries(split))
+            listed = {json.loads(line)["id"] for line in path.read_text().splitlines()}
+        assert listed == {c.clip_id for c in corpus}
 
     @pytest.mark.parametrize("name", DISTORTED_SETS)
     def test_target_kind_proportions_exact(self, small_splits, name):
@@ -365,8 +388,9 @@ class TestWavIO:
         clip = synth_corpus(1, 2, seed=18)[0]
         path = tmp_path / "clip.wav"
         write_wav(path, clip.waveform)
+        with wave.open(str(path), "rb") as f:
+            assert f.getframerate() == 16000
         back = read_wav(path)
-        assert back.sample_rate == 16000
         assert np.max(np.abs(back.samples - clip.waveform.samples)) < 1.0 / 32767
 
     def test_garbage_file_rejected(self, tmp_path):
@@ -375,12 +399,13 @@ class TestWavIO:
         with pytest.raises(FormatError):
             read_wav(path)
 
-    def test_wrong_sample_rate_rejected(self, tmp_path):
+    @pytest.mark.parametrize("rate", [8000, 44100])
+    def test_wrong_sample_rate_rejected(self, tmp_path, rate):
         clip = synth_corpus(1, 2, seed=19)[0]
         path = tmp_path / "sr.wav"
-        write_wav(path, Waveform(clip.waveform.samples, sample_rate=8000))
-        with pytest.raises(FormatError, match="framerate"):
-            read_wav(path, expect_sr=16000)
+        write_pcm_wav(path, clip.waveform.samples, rate)
+        with pytest.raises(FormatError, match=f"framerate={rate}, expected 16000"):
+            read_wav(path)
 
 
 class TestManifest:
@@ -407,8 +432,6 @@ class TestManifest:
                 assert (e["snr_db"] is None) == (e["distortion"] == REVERB)
 
     def test_jsonl_round_trip(self, small_splits, tmp_path):
-        import json
-
         entries = manifest_entries(small_splits)
         path = tmp_path / "manifest.jsonl"
         write_manifest(path, entries)

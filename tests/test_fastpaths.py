@@ -110,12 +110,12 @@ def test_short_ir_is_convolved_exactly():
 
 def reference_featurize(w: Waveform) -> np.ndarray:
     """Frames gathered through an index matrix, each windowed by a fresh Hann window."""
-    window = int(round(distort.WINDOW_S * w.sample_rate))
-    hop = int(round(distort.HOP_S * w.sample_rate))
+    window = int(round(distort.WINDOW_S * distort.DEFAULT_SR))
+    hop = int(round(distort.HOP_S * distort.DEFAULT_SR))
     t = (w.samples.size - window) // hop + 1
     idx = np.arange(window)[None, :] + hop * np.arange(t)[:, None]
     mags = np.abs(np.fft.rfft(w.samples[idx] * np.hanning(window), axis=1))
-    fb = distort._triangular_filterbank(mags.shape[1], distort.N_BANDS)
+    fb = distort._triangular_filterbank(mags.shape[1])
     return np.log(np.maximum(mags @ fb.T, distort.FEATURE_FLOOR))
 
 
@@ -482,11 +482,11 @@ def test_shared_pretraining_matches_each_stage_alone(tmp_path, monkeypatch, jobs
     data = build_experiment_data(manifest.corpus, manifest.splits_seed)
     logs = {}
     for spec in manifest.stages:
-        res = run_stage(spec.stage, data.splits, spec.config,
-                        continual_set=data.continual_set,
-                        model_cfg=ModelConfig(n_classes=data.classes,
-                                              domain_setting=spec.config.domain_setting),
-                        checkpoint_dir=alone)
+        model_cfg = ModelConfig(n_classes=data.classes, domain_setting=spec.config.domain_setting)
+        pretrained = None
+        if spec.stage in trainer.CONTINUAL_STAGES:
+            pretrained = trainer.pretrain(spec.config, data.continual_set, model_cfg, spec.stage)
+        res = run_stage(spec.stage, data.splits, spec.config, model_cfg, alone, pretrained)
         res.model.save(alone / f"{spec.stage}.ckpt")
         logs[spec.stage] = res.log
 
@@ -559,9 +559,9 @@ def test_continual_sweep_matches_each_cell_alone(tmp_path, jobs):
     rows = []
     for lam in sorted(manifest.sweep.lambdas, reverse=True):
         cfg = replace(spec.config, objective=manifest.sweep.objective, grl_lambda=lam)
-        res = run_stage(spec.stage, data.splits, cfg, continual_set=data.continual_set,
-                        model_cfg=ModelConfig(n_classes=data.classes,
-                                              domain_setting=cfg.domain_setting))
+        model_cfg = ModelConfig(n_classes=data.classes, domain_setting=cfg.domain_setting)
+        pretrained = trainer.pretrain(cfg, data.continual_set, model_cfg, spec.stage)
+        res = run_stage(spec.stage, data.splits, cfg, model_cfg, pretrained=pretrained)
         row = build_report([res], data.splits).rows[0]
         rows.append({"lambda": lam, "reported": lam in REPORTED_LAMBDAS,
                      "clean_acc": row.clean_acc, "seen_acc": row.seen_acc,

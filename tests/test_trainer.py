@@ -11,6 +11,7 @@ from datforge.models import DannModel, ModelConfig
 from datforge.objectives import entropy_domain_loss, task_loss
 from datforge.pipeline import ExperimentManifest, SweepSpec, run_sweep
 from datforge.trainer import (
+    CONTINUAL_STAGES,
     DEFAULT_LAMBDA_GRID,
     LogRow,
     TrainConfig,
@@ -238,11 +239,12 @@ class TestSupervisedAndStages:
 
     def test_run_stage_rejects_unknown(self, small_splits):
         with pytest.raises(ConfigError):
-            run_stage("warmup", small_splits, small_cfg())
+            run_stage("warmup", small_splits, small_cfg(), SMALL_MODEL)
 
-    def test_continual_stage_requires_continual_set(self, small_splits):
-        with pytest.raises(ConfigError, match="continual"):
-            run_stage("continual_only", small_splits, small_cfg())
+    @pytest.mark.parametrize("stage", CONTINUAL_STAGES)
+    def test_continual_stage_requires_pretrained(self, small_splits, stage):
+        with pytest.raises(ConfigError, match=f"stage {stage!r} requires a pretrained"):
+            run_stage(stage, small_splits, small_cfg(), SMALL_MODEL)
 
     def test_oracle_uses_policy_gate(self, small_splits):
         result = run_stage("oracle", small_splits, small_cfg(epochs=1), model_cfg=SMALL_MODEL)
@@ -264,12 +266,13 @@ class TestSupervisedAndStages:
 
     def test_continual_checkpoint_round_trip(self, small_corpus, small_splits, tmp_path):
         cont = build_continual_set([c.waveform for c in small_corpus[:8]], seed=2)
-        result = run_stage("continual_only", small_splits, small_cfg(epochs=1),
-                           continual_set=cont, model_cfg=SMALL_MODEL,
-                           checkpoint_dir=tmp_path)
-        assert result.continual_checkpoint is not None
+        cfg = small_cfg(epochs=1)
+        pre = pretrain(cfg, cont, SMALL_MODEL, "continual_only")
+        run_stage("continual_only", small_splits, cfg, SMALL_MODEL, tmp_path, pre)
         clone = DannModel(SMALL_MODEL, seed=0)
-        clone.load(result.continual_checkpoint)
+        clone.load(tmp_path / "continual_only_continual.ckpt")
+        for p, value in zip(clone.extractor.parameters(), pre.extractor):
+            assert np.array_equal(p.value, value)
 
 
 
@@ -293,7 +296,9 @@ class TestNonFiniteLoss:
     def test_nan_features_stop_training(self, nan_features, stage, loss):
         splits, cont = nan_features
         with pytest.raises(DatforgeError) as exc:
-            run_stage(stage, splits, small_cfg(), continual_set=cont, model_cfg=SMALL_MODEL)
+            pre = (pretrain(small_cfg(), cont, SMALL_MODEL, stage)
+                   if stage in CONTINUAL_STAGES else None)
+            run_stage(stage, splits, small_cfg(), SMALL_MODEL, pretrained=pre)
         assert not isinstance(exc.value, ConfigError)  # a runtime failure, not a bad setting
         assert str(exc.value) == f"stage {stage!r}: non-finite {loss} (nan) at epoch 0, step 0"
 
@@ -325,7 +330,7 @@ class TestContinualPretraining:
         pre = pretrain(small_cfg(continual_epochs=1), cont, SMALL_MODEL, "continual_only")
         with pytest.raises(ConfigError, match="pretrains with"):
             run_stage("continual_only", small_splits, small_cfg(continual_epochs=2),
-                      continual_set=cont, model_cfg=SMALL_MODEL, pretrained=pre)
+                      SMALL_MODEL, pretrained=pre)
 
     def test_zero_epochs_is_noop(self, small_corpus):
         cont = build_continual_set([c.waveform for c in small_corpus[:8]], seed=2)
