@@ -116,6 +116,8 @@ def _cmd_distort(args) -> int:
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     if not in_dir.is_dir():
         raise ConfigError(f"input directory not found: {in_dir}")
+    if out_dir.resolve() == in_dir.resolve():
+        raise ConfigError(f"output directory {out_dir} is the input directory")
     paths = sorted(in_dir.glob("*.wav"))
     if not paths:
         raise ConfigError(f"no WAV files in {in_dir}")

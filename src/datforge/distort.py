@@ -491,7 +491,8 @@ def write_wav(path, w: Waveform):
 
 
 def read_wav(path) -> Waveform:
-    """A 16 kHz mono 16-bit PCM WAV; any other rate or format is a ``FormatError``."""
+    """A 16 kHz mono 16-bit PCM WAV; any other rate or format, or fewer frames than
+    its header gives, is a ``FormatError``."""
     try:
         f = _wave.open(str(path), "rb")
     except (_wave.Error, EOFError) as exc:
@@ -505,7 +506,12 @@ def read_wav(path) -> Waveform:
             raise FormatError(f"{path}: comptype={f.getcomptype()!r}, expected uncompressed PCM")
         if f.getframerate() != DEFAULT_SR:
             raise FormatError(f"{path}: framerate={f.getframerate()}, expected {DEFAULT_SR}")
-        pcm = np.frombuffer(f.readframes(f.getnframes()), dtype="<i2")
+        nframes = f.getnframes()
+        raw = f.readframes(nframes)
+        if len(raw) != 2 * nframes:
+            raise FormatError(f"{path}: truncated, {len(raw) / 2:g} of the header's "
+                              f"{nframes} frames")
+    pcm = np.frombuffer(raw, dtype="<i2")
     if pcm.size == 0:
         raise FormatError(f"{path}: zero frames")
     return Waveform(pcm.astype(np.float64) / 32767.0)

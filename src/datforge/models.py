@@ -141,11 +141,11 @@ class DannModel:
         by_name = {p.name: p for p in self.parameters()}
         for name, group, value in entries:
             if name not in by_name:
-                raise FormatError(f"checkpoint parameter {name!r} unknown to this model")
+                raise FormatError(f"checkpoint {path}: parameter {name!r} unknown to this model")
             p = by_name[name]
             if p.group != group or p.value.shape != value.shape:
                 raise ConfigError(
-                    f"checkpoint mismatch for {name!r}: "
+                    f"checkpoint {path} mismatch for {name!r}: "
                     f"{group}/{value.shape} vs {p.group}/{p.value.shape}"
                 )
         missing = sorted(by_name.keys() - {name for name, _group, _value in entries})
@@ -166,10 +166,13 @@ def save_checkpoint(path, params: list[Parameter]):
 
 
 def load_checkpoint(path) -> list[tuple[str, str, np.ndarray]]:
+    """The (name, group, value) entries of a ``save_checkpoint`` file; any line that does
+    not parse is a ``FormatError`` naming ``path``."""
     with open(path) as f:
         header = f.readline().rstrip("\n")
         if header != CKPT_HEADER:
-            raise FormatError(f"bad checkpoint header {header!r}, expected {CKPT_HEADER!r}")
+            raise FormatError(f"{path}: bad checkpoint header {header!r}, "
+                              f"expected {CKPT_HEADER!r}")
         entries = []
         while True:
             meta = f.readline()
@@ -177,11 +180,14 @@ def load_checkpoint(path) -> list[tuple[str, str, np.ndarray]]:
                 break
             parts = meta.split()
             if len(parts) < 3 or parts[0] != "param":
-                raise FormatError(f"bad checkpoint entry line: {meta!r}")
+                raise FormatError(f"{path}: bad checkpoint entry line: {meta!r}")
             name, group = parts[1], parts[2]
-            shape = tuple(int(s) for s in parts[3:])
-            values = np.array([float.fromhex(v) for v in f.readline().split()])
-            if values.size != int(np.prod(shape)):
-                raise FormatError(f"checkpoint value count mismatch for {name!r}")
-            entries.append((name, group, values.reshape(shape)))
+            try:
+                shape = tuple(int(s) for s in parts[3:])
+                values = np.array([float.fromhex(v) for v in f.readline().split()])
+                if values.size != int(np.prod(shape)):
+                    raise ValueError(f"{values.size} values for shape {shape}")
+                entries.append((name, group, values.reshape(shape)))
+            except ValueError as exc:
+                raise FormatError(f"{path}: parameter {name!r} does not parse: {exc}") from exc
     return entries

@@ -32,7 +32,7 @@ from .evalharness import (
     write_report_csv,
     write_report_json,
 )
-from .models import ModelConfig
+from .models import DannModel, ModelConfig
 from .trainer import (
     CONTINUAL_STAGES,
     DAT_STAGES,
@@ -44,6 +44,7 @@ from .trainer import (
     Pretrained,
     StageResult,
     TrainConfig,
+    adversarial_settings,
     pretrain,
     pretrain_settings,
     run_stage,
@@ -452,17 +453,27 @@ def _write_sweep_csv(path, rows: list[dict]):
 
 
 def run_probe(manifest: ExperimentManifest, out_dir: Path) -> list[dict]:
-    """Train the manifest's stages, then measure residual domain information per stage."""
-    needs_continual = any(s.stage in CONTINUAL_STAGES for s in manifest.stages)
-    data = build_experiment_data(manifest.corpus, manifest.splits_seed, needs_continual)
+    """Probe each stage's checkpoint in the finished run of ``manifest`` in ``out_dir``."""
+    # the corpus is built first, so that a bad noise WAV is reported before anything else
+    data = build_experiment_data(manifest.corpus, manifest.splits_seed, with_continual=False)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_stages(manifest, data)
+    try:
+        recorded = json.loads((out_dir / "manifest.json").read_text())
+    except (OSError, ValueError):  # absent or corrupt: not a finished run
+        recorded = None
+    if (out_dir / RUN_MARKER).exists() or recorded != manifest.to_dict():
+        raise ConfigError(f"{out_dir} holds no finished run of this manifest; run it first")
     rows = []
-    for res in results:
-        probe = domain_probe(res.model, data.splits, ProbeConfig(seed=manifest.seed))
-        rows.append({"stage": res.stage, "objective": res.objective,
-                     "lambda": res.grl_lambda, "probe_acc": probe.probe_acc,
-                     "chance_level": probe.chance_level, "converged": probe.converged})
+    for spec in manifest.stages:
+        path = out_dir / f"{spec.stage}.ckpt"
+        if not path.is_file():
+            raise ConfigError(f"checkpoint {path} of the finished run is missing")
+        model = DannModel(_model_cfg(spec.config, data), 0)
+        model.load(path)
+        probe = domain_probe(model, data.splits, ProbeConfig(seed=manifest.seed))
+        objective, lam = adversarial_settings(spec.stage, spec.config)
+        rows.append({"stage": spec.stage, "objective": objective, "lambda": lam,
+                     "probe_acc": probe.probe_acc, "chance_level": probe.chance_level,
+                     "converged": probe.converged})
     (out_dir / "probe.json").write_text(json.dumps(rows, indent=2) + "\n")
     return rows

@@ -329,6 +329,11 @@ def train_dat(splits: CorpusSplit, model: DannModel, cfg: TrainConfig,
     return rows
 
 
+def adversarial_settings(stage: str, cfg: TrainConfig) -> tuple[str | None, float | None]:
+    """A stage's objective and lambda columns: set only for the ``DAT_STAGES``, which read them."""
+    return (cfg.objective, cfg.grl_lambda) if stage in DAT_STAGES else (None, None)
+
+
 @dataclass
 class StageResult:
     stage: str
@@ -372,7 +377,5 @@ def run_stage(stage: str, splits: CorpusSplit, cfg: TrainConfig, model_cfg: Mode
         log += train_supervised(data, model, cfg, stage)
     else:
         log += train_dat(splits, model, cfg, stage)
-    is_dat = stage in DAT_STAGES
-    return StageResult(stage, cfg.objective if is_dat else None,
-                       cfg.grl_lambda if is_dat else None, model, log)
+    return StageResult(stage, *adversarial_settings(stage, cfg), model, log)
 

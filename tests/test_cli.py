@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from datforge.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _load_manifest, build_parser, main
 from datforge.distort import KIND_TO_DOMAIN, Waveform, read_wav, synth_corpus, write_wav
 from datforge.errors import ConfigError
+from datforge.evalharness import ProbeConfig, domain_probe
 from datforge.models import load_checkpoint
 from datforge.pipeline import (
     STAGE_KEYS,
@@ -16,13 +18,17 @@ from datforge.pipeline import (
     ExperimentManifest,
     StageSpec,
     SweepSpec,
+    build_experiment_data,
     run_experiment,
+    run_probe,
+    run_stages,
     run_sweep,
     standard_manifest,
 )
-from datforge.trainer import DAT_STAGES, OBJECTIVES, STAGES
+from datforge.trainer import CONTINUAL_STAGES, DAT_STAGES, OBJECTIVES, STAGES
 
-STANDARD_JSON = Path(__file__).resolve().parents[1] / "manifests" / "standard.json"
+REPO = Path(__file__).resolve().parents[1]
+STANDARD_JSON = REPO / "manifests" / "standard.json"
 
 TINY_MANIFEST = {
     "seed": 1,
@@ -41,6 +47,10 @@ SETTINGS = {"seed": 3, "eta": 1e-3, "alpha": 1e-3, "epochs": 1, "batch_size": 4,
             "continual_epochs": 7, "beta": 3.0, "lambda": 0.5, "objective": "bce",
             "optimizer": "sgd"}
 BASELINE, DAT = TINY_MANIFEST["stages"]
+# TINY_MANIFEST with all five stages, the continual ones sharing one short pretraining
+FIVE_STAGES = [{"stage": stage, "epochs": 1, "batch_size": 4,
+                **({"continual_epochs": 1} if stage in CONTINUAL_STAGES else {})}
+               for stage in STAGES]
 
 
 def _write_manifest(tmp_path, **changes) -> Path:
@@ -49,6 +59,15 @@ def _write_manifest(tmp_path, **changes) -> Path:
     path = tmp_path / "m.json"
     path.write_text(json.dumps({**TINY_MANIFEST, "output_dir": str(tmp_path / "out"), **changes}))
     return path
+
+
+def _truncate(path: Path, cut: int):
+    """Drop the last ``cut`` bytes of a file, as an interrupted copy would."""
+    path.write_bytes(path.read_bytes()[:-cut])
+
+
+def _files(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 @pytest.fixture()
@@ -359,6 +378,22 @@ class TestRunCommand:
         assert "silent.wav" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
+    @pytest.mark.parametrize("cut", [1, 200], ids=["mid-sample", "frame-boundary"])
+    def test_truncated_noise_wav_is_config_error_before_training(self, tmp_path, capsys,
+                                                                 command, cut):
+        noise = tmp_path / "noise"
+        noise.mkdir()
+        rng = np.random.default_rng(0)
+        for i in range(6):
+            write_wav(noise / f"n{i}.wav", Waveform(0.1 * rng.standard_normal(1600)))
+        _truncate(noise / "n3.wav", cut)
+        path = _write_manifest(tmp_path, corpus=dict(TINY_MANIFEST["corpus"],
+                                                     noise_wav_dir=str(noise)))
+        assert main([command, "--manifest", str(path)]) == EXIT_CONFIG
+        assert "noise WAV unusable" in (err := capsys.readouterr().err) and "n3.wav" in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_loss_exit_code(self, manifest_path, monkeypatch, capsys):
         from datforge import distort
 
@@ -452,10 +487,72 @@ class TestSweepCommand:
 
 class TestProbeCommand:
     def test_probe_writes_json(self, manifest_path, tmp_path, capsys):
+        assert main(["run", "--manifest", str(manifest_path)]) == EXIT_OK
         assert main(["probe", "--manifest", str(manifest_path)]) == EXIT_OK
         rows = json.loads((tmp_path / "out" / "probe.json").read_text())
         assert [r["stage"] for r in rows] == ["baseline", "dat_only"]
         assert all(0.0 <= r["probe_acc"] <= 1.0 for r in rows)
+
+    def test_probe_json_equals_probing_the_trained_stages(self, tmp_path):
+        manifest = ExperimentManifest.from_dict(dict(TINY_MANIFEST, stages=FIVE_STAGES))
+        run_experiment(manifest, tmp_path)
+        run_probe(manifest, tmp_path)
+        # the reference: the probe of each stage as trained in this process, not reloaded
+        data = build_experiment_data(manifest.corpus, manifest.splits_seed)
+        rows = []
+        for res in run_stages(manifest, data):
+            probe = domain_probe(res.model, data.splits, ProbeConfig(seed=manifest.seed))
+            rows.append({"stage": res.stage, "objective": res.objective,
+                         "lambda": res.grl_lambda, "probe_acc": probe.probe_acc,
+                         "chance_level": probe.chance_level, "converged": probe.converged})
+        assert [r["objective"] for r in rows] == [None, None, None, "ce", "ce"]
+        assert (tmp_path / "probe.json").read_bytes() == \
+            (json.dumps(rows, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("named_by", ["--seed", "manifest.json"])
+    def test_probe_trains_nothing(self, tmp_path, monkeypatch, named_by):
+        from datforge import pipeline, trainer
+
+        path = _write_manifest(tmp_path, stages=FIVE_STAGES)
+        assert main(["run", "--manifest", str(path), "--seed", "2"]) == EXIT_OK
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("probe trained")
+
+        for module, name in ((pipeline, "run_stage"), (pipeline, "pretrain"),
+                             (trainer, "run_stage"), (trainer, "pretrain"),
+                             (trainer, "continual_pretrain"), (trainer, "train_supervised"),
+                             (trainer, "train_dat")):
+            monkeypatch.setattr(module, name, no_training)
+        # the seed of the run, or the manifest the run wrote, names the same experiment
+        args = (["--manifest", str(path), "--seed", "2"] if named_by == "--seed"
+                else ["--manifest", str(tmp_path / "out" / "manifest.json")])
+        assert main(["probe", *args]) == EXIT_OK
+        assert len(json.loads((tmp_path / "out" / "probe.json").read_text())) == 5
+
+    @pytest.mark.parametrize("state", ["absent", "empty", "marker", "other seed",
+                                       "corrupt manifest", "missing checkpoint"])
+    def test_no_finished_run_is_config_error(self, manifest_path, tmp_path, capsys, state):
+        out = tmp_path / "out"
+        if state == "empty":
+            out.mkdir()
+        elif state != "absent":
+            seed = ["--seed", "2"] if state == "other seed" else []
+            assert main(["run", "--manifest", str(manifest_path), *seed]) == EXIT_OK
+        if state == "marker":
+            (out / "RUN-INCOMPLETE").write_text("running\n")
+        if state == "corrupt manifest":
+            (out / "manifest.json").write_text("{")
+        if state == "missing checkpoint":
+            (out / "dat_only.ckpt").unlink()
+        before = _files(out) if out.exists() else None
+        capsys.readouterr()
+        assert main(["probe", "--manifest", str(manifest_path)]) == EXIT_CONFIG
+        expected = (f"checkpoint {out / 'dat_only.ckpt'} of the finished run is missing"
+                    if state == "missing checkpoint" else f"{out} holds no finished run")
+        assert expected in capsys.readouterr().err
+        assert (_files(out) if out.exists() else None) == before
+        assert not (out / "probe.json").exists()
 
     def test_dry_run_prints_the_run_plan_and_trains_nothing(self, manifest_path, tmp_path,
                                                            capsys, monkeypatch):
@@ -537,6 +634,25 @@ class TestDistortCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spelling", ["in", "./in/"])
+    def test_output_dir_equal_to_input_rejected(self, wav_dir, tmp_path, capsys, monkeypatch,
+                                                spelling):
+        before = _files(wav_dir)
+        monkeypatch.chdir(tmp_path)
+        assert main(["distort", "in", spelling]) == EXIT_CONFIG
+        assert "output directory in is the input directory" in capsys.readouterr().err
+        assert _files(wav_dir) == before
+
+    @pytest.mark.parametrize("cut", [1, 2000], ids=["mid-sample", "frame-boundary"])
+    def test_truncated_wav_skipped_with_warning(self, wav_dir, tmp_path, capsys, cut):
+        victim = sorted(wav_dir.glob("*.wav"))[1]
+        _truncate(victim, cut)
+        out = tmp_path / "d"
+        assert main(["distort", str(wav_dir), str(out)]) == EXIT_OK
+        assert f"skipping {victim.name}: {victim}: truncated" in capsys.readouterr().err
+        assert sorted(p.name for p in out.glob("*.wav")) == \
+            sorted(p.name for p in wav_dir.glob("*.wav") if p != victim)
+
     def test_negative_snr_is_a_valid_setting(self, wav_dir, tmp_path):
         out = tmp_path / "o"
         assert main(["distort", str(wav_dir), str(out), "--kind", "gaussian",
@@ -552,3 +668,33 @@ def test_datforge_out_env_var(tmp_path, monkeypatch):
     path.write_text(json.dumps(payload))
     assert main(["run", "--manifest", str(path)]) == EXIT_OK
     assert (tmp_path / "rel-out" / "report.csv").is_file()
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``datforge ...`` line of the README's ``sh`` blocks, split as a shell would."""
+    commands, in_sh = [], False
+    for line in (REPO / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("datforge "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_cli_block_parses_and_dry_runs(monkeypatch, capsys):
+    commands = _readme_commands()
+    assert {c[0] for c in commands} == {"run", "sweep", "probe", "distort"}
+    monkeypatch.chdir(REPO)
+    finished = set()  # the manifests a documented `run` has finished before this line
+    for argv in commands:
+        build_parser().parse_args(argv)
+        if "--manifest" not in argv:
+            continue
+        manifest = argv[argv.index("--manifest") + 1]
+        if argv[0] == "probe":  # probe reads the finished run of its manifest
+            assert manifest in finished, f"README probes {manifest} before running it"
+        elif argv[0] == "run" and "--dry-run" not in argv:
+            finished.add(manifest)
+        dry = argv if "--dry-run" in argv else [*argv, "--dry-run"]
+        assert main(dry) == EXIT_OK, argv
+    capsys.readouterr()

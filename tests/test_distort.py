@@ -407,6 +407,16 @@ class TestWavIO:
         with pytest.raises(FormatError, match=f"framerate={rate}, expected 16000"):
             read_wav(path)
 
+    @pytest.mark.parametrize("cut, frames", [(1, "15999.5"), (2000, "15000")],
+                             ids=["mid-sample", "frame-boundary"])
+    def test_truncated_file_rejected(self, tmp_path, cut, frames):
+        path = tmp_path / "cut.wav"
+        write_wav(path, Waveform(np.full(16000, 0.1)))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(FormatError, match=f"cut.wav: truncated, {frames} of the "
+                                              f"header's 16000 frames"):
+            read_wav(path)
+
 
 class TestManifest:
     def test_entries_cover_all_splits(self, small_splits, tmp_path):

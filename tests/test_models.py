@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,27 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    # (line of the file, how it is corrupted, what the error says besides the path)
+    @pytest.mark.parametrize("line, corrupt, message", [
+        (0, lambda l: "DATFORGE-CKPT-0", "bad checkpoint header 'DATFORGE-CKPT-0'"),
+        (1, lambda l: l.replace("param", "parm"), "bad checkpoint entry line"),
+        (1, lambda l: l + " x", "parameter 'f.l1.W' does not parse: invalid literal for int"),
+        (1, lambda l: l + " 2", "parameter 'f.l1.W' does not parse: 48 values for shape"),
+        (2, lambda l: l.replace(" ", " 0x1.zp+0 ", 1),
+         "parameter 'f.l1.W' does not parse: invalid hexadecimal"),
+        (2, lambda l: l.rsplit(" ", 1)[0], "parameter 'f.l1.W' does not parse: 47 values"),
+    ], ids=["header", "entry", "shape-int", "shape-count", "value-hex", "value-count"])
+    def test_corrupt_line_is_format_error_naming_the_file(self, cfg, tmp_path, line, corrupt,
+                                                          message):
+        path = tmp_path / "model.ckpt"
+        DannModel(cfg, seed=7).save(path)
+        lines = path.read_text().splitlines()
+        lines[line] = corrupt(lines[line])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=message) as exc:
+            load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_shape_mismatch_rejected(self, cfg, tmp_path):
         path = tmp_path / "model.ckpt"
         DannModel(cfg, seed=7).save(path)
@@ -181,6 +204,15 @@ class TestCheckpoint:
             seed=0,
         )
         with pytest.raises((FormatError, ConfigError)):
+            other.load(path)
+
+    def test_mismatch_names_the_file(self, cfg, tmp_path):
+        path = tmp_path / "model.ckpt"
+        DannModel(cfg, seed=7).save(path)
+        other = DannModel(ModelConfig(input_dim=8, hidden_dim=6, feature_dim=4, n_classes=5,
+                                      n_domains=2), seed=0)
+        with pytest.raises(ConfigError, match=re.escape(f"checkpoint {path} mismatch for "
+                                                        f"'y.out.W'")):
             other.load(path)
 
     def test_partial_checkpoint_rejected(self, cfg, tmp_path):
