@@ -149,18 +149,17 @@ def synth_corpus(n_per_class: int, classes: int, seed: int,
         raise ValueError("need classes >= 2 and n_per_class >= 1")
     t = np.arange(DEFAULT_SR) / DEFAULT_SR
     clips = []
-    idx = 0
     for label in range(classes):
         f0 = class_fundamental_hz(label)
-        for _ in range(n_per_class):
+        ramp1, ramp3 = 2 * np.pi * f0 * t, 2 * np.pi * 3 * f0 * t  # phase ramps of the class
+        for idx in range(label * n_per_class, (label + 1) * n_per_class):
             rng = np.random.default_rng(derive_seed(seed, idx))
             amp = rng.uniform(0.3, 0.8)
             ph1, ph2 = rng.uniform(0.0, 2 * np.pi, size=2)
-            raw = np.sin(2 * np.pi * f0 * t + ph1) + 0.5 * np.sin(2 * np.pi * 3 * f0 * t + ph2)
+            raw = np.sin(ramp1 + ph1) + 0.5 * np.sin(ramp3 + ph2)
             env = 0.85 + 0.15 * np.sin(2 * np.pi * rng.uniform(1.0, 3.0) * t + rng.uniform(0, 2 * np.pi))
             samples = amp * env * raw / np.max(np.abs(raw))
             clips.append(Clip(f"{id_prefix}-{idx:05d}", Waveform(samples), label))
-            idx += 1
     return clips
 
 

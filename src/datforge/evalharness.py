@@ -66,20 +66,19 @@ class ProbeConfig:
 
 def domain_probe(model: DannModel, splits: CorpusSplit,
                  probe_cfg: ProbeConfig | None = None) -> DomainProbeResult:
-    """Train a fresh domain ``Head`` on frozen, mean-pooled features.
+    """Train a fresh domain ``Head`` on frozen features, each clip pooled through
+    ``forward_pooled_features`` as in training and ``evaluate``, one clip per call:
+    a batched call over every S+T clip raises peak memory.
 
     Lower held-out probe accuracy means more domain-invariant features.
     The extractor is only read, never updated.  The probe always tells every
     distortion kind apart (multi-domain), whatever setting the model trained in.
     """
     cfg = probe_cfg or ProbeConfig()
-    pooled = [model.extractor.extract_features(f).mean(axis=0)
-              for f in features_of(splits.S) + features_of(splits.T)]
-    x = np.stack(pooled)
-    doms = np.concatenate([
-        np.zeros(len(splits.S), dtype=np.int64),
-        domain_indices(splits.T, "multi"),
-    ])
+    x = np.concatenate([model.forward_pooled_features(Tape(), [f]).value
+                        for f in features_of(splits.S) + features_of(splits.T)])
+    doms = np.concatenate([np.zeros(len(splits.S), dtype=np.int64),
+                           domain_indices(splits.T, "multi")])
     n_dom = model.cfg.n_domains + 1
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(len(doms))
@@ -95,9 +94,9 @@ def domain_probe(model: DannModel, splits: CorpusSplit,
         tape.backward(loss)
         opt.step()
         losses.append(float(loss.value))
-    tail = losses[-10:]
-    converged = (max(tail) - min(tail)) < PROBE_PLATEAU
-    hold_logits = x[hold] @ head.w.value + head.b.value
+    converged = max(losses[-10:]) - min(losses[-10:]) < PROBE_PLATEAU
+    tape = Tape()
+    hold_logits = head.forward_pooled(tape, tape.const(x[hold])).value
     acc = float(np.mean(np.argmax(hold_logits, axis=1) == doms[hold]))
     return DomainProbeResult(acc, 1.0 / n_dom, converged, losses)
 

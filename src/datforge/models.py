@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distort import N_BANDS, TRAIN_KINDS
 from .errors import ConfigError, FormatError
 from .gradcore import (
     DOMAIN_CLASSIFIER,
@@ -25,11 +26,11 @@ CKPT_HEADER = "DATFORGE-CKPT-1"
 
 @dataclass
 class ModelConfig:
-    input_dim: int = 64
+    input_dim: int = N_BANDS
     hidden_dim: int = 64
     feature_dim: int = 32
     n_classes: int = 4
-    n_domains: int = 3  # distortion types K; domain classes are K+1
+    n_domains: int = len(TRAIN_KINDS)  # distortion types K; domain classes are K+1
     domain_setting: str = "multi"  # "binary" -> single sigmoid logit
 
     def __post_init__(self):
@@ -76,7 +77,8 @@ class FeatureExtractor:
         return tape.linear(h, tape.param(self.w3), tape.param(self.b3))
 
     def extract_features(self, frames: np.ndarray) -> np.ndarray:
-        """Convenience forward on one T x F example, outside any training tape."""
+        """Per-frame features of one T x F example, outside any training tape. No ``src/``
+        code calls it; the tests and perfbench's tracer binding keep it for now."""
         tape = Tape()
         return self.forward(tape, tape.const(frames)).value
 

@@ -48,23 +48,21 @@ class _ConstantExtractor:
     def __init__(self, dim):
         self.dim = dim
 
-    def extract_features(self, x):
-        return np.ones((x.shape[0], self.dim))
+    def hidden(self, tape, x):
+        return tape.const(np.ones((x.value.shape[0], self.dim)))
+
+    def project(self, tape, h):
+        return h
 
 
 class _DomainLeakExtractor:
     """Stand-in extractor that emits the clip's domain as a one-hot feature.
 
-    Keyed by waveform identity recorded at construction time.
+    Keyed by the clip's features, recorded at construction time.
     """
 
     def __init__(self, splits, dim):
         self.dim = dim
-        self.lookup = {}
-        for c in splits.S:
-            self.lookup[c.waveform.samples.tobytes()] = 0
-        for c in splits.T:
-            self.lookup[c.waveform.samples.tobytes()] = c.domain
         from datforge.distort import featurize
 
         self.feature_lookup = {
@@ -73,11 +71,14 @@ class _DomainLeakExtractor:
             for w_c, dom in ((c, dom_of(c)) for c in clips)
         }
 
-    def extract_features(self, x):
-        dom = self.feature_lookup[np.asarray(x).tobytes()]
-        out = np.zeros((x.shape[0], self.dim))
+    def hidden(self, tape, x):
+        dom = self.feature_lookup[x.value.tobytes()]
+        out = np.zeros((x.value.shape[0], self.dim))
         out[:, dom] = 50.0
-        return out
+        return tape.const(out)
+
+    def project(self, tape, h):
+        return h
 
 
 class TestDomainProbe:

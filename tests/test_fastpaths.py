@@ -29,9 +29,16 @@ from datforge.runtime import blas_function
 from datforge.cli import EXIT_RUNTIME, main
 from datforge.distort import DIRECT_CONV_MAX_TAPS, Waveform, apply_reverb, make_impulse_response
 from datforge.errors import ConfigError, DatforgeError
-from datforge.evalharness import build_report
-from datforge.gradcore import Parameter, Tape
-from datforge.models import DannModel, ModelConfig, load_checkpoint
+from datforge.evalharness import (
+    PROBE_HOLDOUT,
+    PROBE_LR,
+    PROBE_PLATEAU,
+    ProbeConfig,
+    build_report,
+    domain_probe,
+)
+from datforge.gradcore import Optimizer, Parameter, Tape
+from datforge.models import DannModel, Head, ModelConfig, load_checkpoint
 from datforge.objectives import task_loss
 from datforge.pipeline import (
     ExperimentManifest,
@@ -44,7 +51,7 @@ from datforge.pipeline import (
     standard_manifest,
     usable_cpus,
 )
-from datforge.trainer import REPORTED_LAMBDAS, run_stage
+from datforge.trainer import REPORTED_LAMBDAS, TrainConfig, domain_indices, features_of, run_stage
 from test_cli import TINY_MANIFEST
 
 
@@ -247,6 +254,44 @@ def test_pooled_features_match_per_frame_path(seed):
         scale = np.max(np.abs(g))
         np.testing.assert_allclose(fast_grads[name], g, rtol=1e-12, atol=1e-12 * scale,
                                    err_msg=name)
+
+
+def reference_probe(pooled: np.ndarray, splits, n_domains: int, seed: int, epochs: int = 100):
+    """The domain probe on given pooled features, as it was written before it pooled
+    through ``forward_pooled_features``: (probe_acc, converged)."""
+    doms = np.concatenate([np.zeros(len(splits.S), dtype=np.int64),
+                           domain_indices(splits.T, "multi")])
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(doms))
+    n_hold = max(1, int(len(doms) * PROBE_HOLDOUT))
+    hold, train = perm[:n_hold], perm[n_hold:]
+    head = Head(rng, pooled.shape[1], n_domains + 1, "aux", "probe")
+    opt = Optimizer(head.parameters(), {"aux": PROBE_LR})
+    losses = []
+    for _ in range(epochs):
+        tape = Tape()
+        loss = task_loss(tape, head.forward_pooled(tape, tape.const(pooled[train])), doms[train])
+        tape.backward(loss)
+        opt.step()
+        losses.append(float(loss.value))
+    tail = losses[-10:]
+    hold_logits = pooled[hold] @ head.w.value + head.b.value
+    acc = float(np.mean(np.argmax(hold_logits, axis=1) == doms[hold]))
+    return acc, (max(tail) - min(tail)) < PROBE_PLATEAU
+
+
+@pytest.mark.parametrize("stage", ["baseline", "dat_only"])
+def test_probe_pools_like_the_per_frame_extractor(small_splits, stage):
+    cfg = ModelConfig(hidden_dim=16, feature_dim=8)
+    model = run_stage(stage, small_splits, TrainConfig(epochs=2, batch_size=4), cfg).model
+    feats = features_of(small_splits.S) + features_of(small_splits.T)
+    ref = np.stack([model.extractor.extract_features(f).mean(axis=0) for f in feats])
+    pooled = np.concatenate([model.forward_pooled_features(Tape(), [f]).value for f in feats])
+    np.testing.assert_allclose(pooled, ref, rtol=1e-12, atol=0)
+    for seed in (0, 1):
+        res = domain_probe(model, small_splits, ProbeConfig(seed=seed))
+        assert (res.probe_acc, res.converged) == reference_probe(ref, small_splits,
+                                                                 cfg.n_domains, seed)
 
 
 # ---------------------------------------------------------------------------
