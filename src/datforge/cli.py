@@ -52,13 +52,14 @@ def _load_manifest(args) -> ExperimentManifest:
 
 
 def _print_plan(args, manifest: ExperimentManifest, out_dir: Path):
+    payload = manifest.to_dict()
     print(f"manifest: {args.manifest}")
     print(f"output_dir: {out_dir}")
-    print(f"corpus: {vars(manifest.corpus)}")
-    for spec in manifest.stages:  # each stage with the settings it reads, seed first
-        settings = {k: v for k, v in spec.to_dict().items() if k != "stage"}
-        print(f"stage: {spec.stage} " + " ".join(
-            f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in settings.items()))
+    print(f"seed: {manifest.seed}")
+    print(f"corpus: {payload['corpus']}")
+    for entry in payload["stages"]:  # each stage with the settings it reads
+        print(f"stage: {entry.pop('stage')} " + " ".join(
+            f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in entry.items()))
 
 
 def _cmd_run(args) -> int:

@@ -190,17 +190,6 @@ class Tape:
             x.value.mean(), (x,), lambda g: (np.broadcast_to(g / n, shape),)
         )
 
-    def mean_over_rows(self, x: Node) -> Node:
-        """T x D -> 1 x D mean pooling."""
-        if x.value.ndim != 2:
-            raise DimensionError(f"mean_over_rows: expected 2-D input, got {x.value.shape}")
-        t = x.value.shape[0]
-        return self._record(
-            x.value.mean(axis=0, keepdims=True),
-            (x,),
-            lambda g: (np.broadcast_to(g / t, x.value.shape),),
-        )
-
     def mean_pool_segments(self, x: Node, lengths) -> Node:
         """Concatenated frame matrix (sum(lengths) x D) -> per-segment means (B x D)."""
         lens = np.asarray(lengths, dtype=np.int64)

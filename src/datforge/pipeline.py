@@ -87,13 +87,13 @@ class CorpusSpec:
                               f"(classes x n_per_class), fewer than {MIN_SPLIT_CLIPS}")
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "CorpusSpec":
-        _check_keys(obj, {f for f in cls.__dataclass_fields__}, "corpus")
-        return cls(**obj)
+    def from_dict(cls, obj: dict, seed: int) -> "CorpusSpec":
+        _check_keys(obj, set(cls.__dataclass_fields__) - {"seed"}, "corpus")
+        return cls(**obj, seed=seed)
 
 
-# a stage entry's keys, each mapped to its TrainConfig field: the fields the stage reads,
-# with grl_lambda named "lambda"
+# a stage entry's keys, each mapped to its TrainConfig field: the fields the stage reads
+# besides the seed, with grl_lambda named "lambda"
 STAGE_KEYS = {stage: {("lambda" if f == "grl_lambda" else f): f for f in names}
               for stage, names in STAGE_FIELDS.items()}
 
@@ -104,7 +104,7 @@ class StageSpec:
     config: TrainConfig
 
     @classmethod
-    def from_dict(cls, obj: dict, default_seed: int) -> "StageSpec":
+    def from_dict(cls, obj: dict, seed: int) -> "StageSpec":
         if not isinstance(obj, dict) or "stage" not in obj:
             raise ConfigError(f"each stage entry must be a JSON object with a 'stage' key, "
                               f"got {obj!r}")
@@ -117,8 +117,7 @@ class StageSpec:
             raise ConfigError(f"stage {stage!r} does not read {unread}; its entry takes "
                               f"only 'stage' and {list(keys)}")
         kw = {keys[k]: v for k, v in obj.items() if k != "stage"}
-        kw.setdefault("seed", default_seed)
-        return cls(stage, TrainConfig(**kw))
+        return cls(stage, TrainConfig(seed=seed, **kw))
 
     def to_dict(self) -> dict:
         """The entry as ``from_dict`` reads it: the stage and every setting the stage reads."""
@@ -175,6 +174,11 @@ class ExperimentManifest:
         if self.sweep is not None and all(s.stage != self.sweep.stage for s in self.stages):
             raise ConfigError(f"sweep stage {self.sweep.stage!r} has no entry in the "
                               f"manifest's stages")
+        # to_dict writes only the manifest seed, so any other corpus or stage seed would be lost
+        seeds = {"corpus": self.corpus.seed, **{s.stage: s.config.seed for s in self.stages}}
+        apart = {name: seed for name, seed in seeds.items() if seed != self.seed}
+        if apart:
+            raise ConfigError(f"seeds {apart} differ from the manifest seed {self.seed}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentManifest":
@@ -184,11 +188,14 @@ class ExperimentManifest:
             raise ConfigError("manifest requires 'corpus' and 'stages'")
         if not isinstance(obj["stages"], list):
             raise ConfigError(f"stages must be a JSON list, got {obj['stages']!r}")
+        seed = obj.get("seed", cls.seed)
+        require_count("seed", seed, 0)  # before the corpus and stages are built from it
         return cls(
-            corpus=CorpusSpec.from_dict(obj["corpus"]),
-            stages=[StageSpec.from_dict(s, obj.get("seed", cls.seed)) for s in obj["stages"]],
+            corpus=CorpusSpec.from_dict(obj["corpus"], seed),
+            stages=[StageSpec.from_dict(s, seed) for s in obj["stages"]],
             sweep=SweepSpec.from_dict(obj["sweep"]) if obj.get("sweep") is not None else None,
-            **{k: obj[k] for k in ("splits_seed", "seed", "output_dir") if k in obj},
+            seed=seed,
+            **{k: obj[k] for k in ("splits_seed", "output_dir") if k in obj},
         )
 
     @classmethod
@@ -207,7 +214,7 @@ class ExperimentManifest:
     def to_dict(self) -> dict:
         """The manifest as ``from_dict`` reads it, so ``from_dict(m.to_dict()) == m``."""
         obj = {
-            "corpus": asdict(self.corpus),
+            "corpus": {k: v for k, v in asdict(self.corpus).items() if k != "seed"},
             "splits_seed": self.splits_seed,
             "seed": self.seed,
             "output_dir": self.output_dir,
@@ -218,10 +225,8 @@ class ExperimentManifest:
         return obj
 
     def with_seed(self, seed: int) -> "ExperimentManifest":
-        """A copy whose manifest, corpus and stage seeds are all ``seed``; ``splits_seed`` is kept."""
-        return replace(self, seed=seed, corpus=replace(self.corpus, seed=seed),
-                       stages=[replace(s, config=replace(s.config, seed=seed))
-                               for s in self.stages])
+        """The manifest with ``seed`` as its ``seed`` key, which is what ``--seed`` sets."""
+        return self.from_dict({**self.to_dict(), "seed": seed})
 
 
 STANDARD_MANIFEST = Path(__file__).resolve().parents[2] / "manifests" / "standard.json"
@@ -463,6 +468,7 @@ def run_probe(manifest: ExperimentManifest, out_dir: Path) -> list[dict]:
         recorded = None
     if (out_dir / RUN_MARKER).exists() or recorded != manifest.to_dict():
         raise ConfigError(f"{out_dir} holds no finished run of this manifest; run it first")
+    probe_cfg = ProbeConfig(seed=manifest.seed)
     rows = []
     for spec in manifest.stages:
         path = out_dir / f"{spec.stage}.ckpt"
@@ -470,10 +476,10 @@ def run_probe(manifest: ExperimentManifest, out_dir: Path) -> list[dict]:
             raise ConfigError(f"checkpoint {path} of the finished run is missing")
         model = DannModel(_model_cfg(spec.config, data), 0)
         model.load(path)
-        probe = domain_probe(model, data.splits, ProbeConfig(seed=manifest.seed))
+        probe = domain_probe(model, data.splits, probe_cfg)
         objective, lam = adversarial_settings(spec.stage, spec.config)
         rows.append({"stage": spec.stage, "objective": objective, "lambda": lam,
                      "probe_acc": probe.probe_acc, "chance_level": probe.chance_level,
-                     "converged": probe.converged})
+                     "converged": probe.converged, "seed": probe_cfg.seed})
     (out_dir / "probe.json").write_text(json.dumps(rows, indent=2) + "\n")
     return rows

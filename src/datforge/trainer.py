@@ -31,10 +31,10 @@ from .models import DannModel, ModelConfig
 STAGES = ("baseline", "oracle", "continual_only", "dat_only", "continual_plus_dat")
 DAT_STAGES = ("dat_only", "continual_plus_dat")
 CONTINUAL_STAGES = ("continual_only", "continual_plus_dat")
-# the TrainConfig fields each stage reads: continual pretraining reads continual_epochs,
-# the adversarial phase beta, grl_lambda and objective (which also sets the domain setting)
+# the TrainConfig fields each stage reads besides the manifest's seed: continual pretraining
+# reads continual_epochs, the adversarial phase beta, grl_lambda and the domain-setting objective
 STAGE_FIELDS = {
-    stage: ("seed", "eta", "alpha", "epochs", "batch_size")
+    stage: ("eta", "alpha", "epochs", "batch_size")
     + (("continual_epochs",) if stage in CONTINUAL_STAGES else ())
     + (("beta", "grl_lambda", "objective") if stage in DAT_STAGES else ())
     for stage in STAGES

@@ -59,17 +59,23 @@ def _passed(n, label):
 # criterion 1: gradient fidelity
 # ---------------------------------------------------------------------------
 
+def _apply_op(tape, op_name, x):
+    if op_name == "mean_pool_segments":  # one segment of all rows: their mean
+        return tape.mean_pool_segments(x, [x.value.shape[0]])
+    return getattr(tape, op_name)(x)
+
+
 def _gradcheck_op(op_name, rng):
     x = rng.uniform(-2.0, 2.0, size=(rng.integers(1, 4), rng.integers(2, 5)))
 
     def loss_of(xv):
         tape = Tape()
-        out = getattr(tape, op_name)(tape.const(xv))
+        out = _apply_op(tape, op_name, tape.const(xv))
         return float(tape.sum(tape.mul(out, out)).value)
 
     p = Parameter(x.copy(), "aux", "x")
     tape = Tape()
-    out = getattr(tape, op_name)(tape.param(p))
+    out = _apply_op(tape, op_name, tape.param(p))
     tape.backward(tape.sum(tape.mul(out, out)))
     return max_rel_err(p.grad, finite_diff(loss_of, x))
 
@@ -138,7 +144,7 @@ def _gradcheck_loss(loss_name, rng):
 
 def test_criterion_1_gradient_fidelity():
     start = time.monotonic()
-    ops = ("relu", "sigmoid", "softmax_rows", "log_softmax_rows", "mean_over_rows")
+    ops = ("relu", "sigmoid", "softmax_rows", "log_softmax_rows", "mean_pool_segments")
     losses = ("bce", "ce", "entropy", "task")
     for i, op in enumerate(ops):
         rng = np.random.default_rng(1000 + i)
@@ -331,7 +337,7 @@ def test_criterion_7_determinism(tmp_path):
     manifest = ExperimentManifest.from_dict({
         "seed": 1,
         "corpus": {"classes": 4, "n_per_class": 6, "test_n_per_class": 2,
-                   "continual_n_per_class": 4, "seed": 1},
+                   "continual_n_per_class": 4},
         "stages": [{"stage": "baseline", "epochs": 2, "batch_size": 4},
                    {"stage": "continual_plus_dat", "epochs": 2,
                     "continual_epochs": 2, "batch_size": 4}],
@@ -352,7 +358,7 @@ def test_criterion_8_sweep_protocol(tmp_path):
     manifest = ExperimentManifest.from_dict({
         "seed": 1,
         "corpus": {"classes": 4, "n_per_class": 6, "test_n_per_class": 2,
-                   "continual_n_per_class": 4, "seed": 1},
+                   "continual_n_per_class": 4},
         "stages": [{"stage": "dat_only", "epochs": 1, "batch_size": 4}],
         "sweep": {"lambdas": [1e-1, 1e-2, 1e-3, 1e-4], "stage": "dat_only"},
     })

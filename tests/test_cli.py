@@ -1,5 +1,7 @@
 import json
+import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from datforge.pipeline import (
     run_sweep,
     standard_manifest,
 )
-from datforge.trainer import CONTINUAL_STAGES, DAT_STAGES, OBJECTIVES, STAGES
+from datforge.trainer import CONTINUAL_STAGES, DAT_STAGES, OBJECTIVES, STAGES, TrainConfig
 
 REPO = Path(__file__).resolve().parents[1]
 STANDARD_JSON = REPO / "manifests" / "standard.json"
@@ -34,7 +36,7 @@ TINY_MANIFEST = {
     "seed": 1,
     "splits_seed": 7,
     "corpus": {"classes": 4, "n_per_class": 5, "test_n_per_class": 2,
-               "continual_n_per_class": 4, "seed": 1},
+               "continual_n_per_class": 4},
     "stages": [
         {"stage": "baseline", "epochs": 1, "batch_size": 4},
         {"stage": "dat_only", "epochs": 1, "batch_size": 4, "lambda": 1e-2},
@@ -43,7 +45,7 @@ TINY_MANIFEST = {
 }
 
 # a valid value for every stage-entry key some stage reads, and for one no stage reads
-SETTINGS = {"seed": 3, "eta": 1e-3, "alpha": 1e-3, "epochs": 1, "batch_size": 4,
+SETTINGS = {"eta": 1e-3, "alpha": 1e-3, "epochs": 1, "batch_size": 4,
             "continual_epochs": 7, "beta": 3.0, "lambda": 0.5, "objective": "bce",
             "optimizer": "sgd"}
 BASELINE, DAT = TINY_MANIFEST["stages"]
@@ -105,10 +107,10 @@ class TestManifestParsing:
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(ConfigError, match="unknown stage"):
-            StageSpec.from_dict({"stage": "finetune"}, default_seed=0)
+            StageSpec.from_dict({"stage": "finetune"}, seed=0)
 
     def test_bce_stage_implies_binary(self):
-        spec = StageSpec.from_dict({"stage": "dat_only", "objective": "bce"}, default_seed=0)
+        spec = StageSpec.from_dict({"stage": "dat_only", "objective": "bce"}, seed=0)
         assert spec.config.domain_setting == "binary"
 
     def test_default_sweep_grid(self):
@@ -122,7 +124,6 @@ class TestManifestParsing:
             "objective": st.sampled_from(OBJECTIVES), "lambda": positive, "eta": positive,
             "alpha": positive, "beta": positive, "epochs": st.integers(0, 200),
             "continual_epochs": st.integers(0, 50), "batch_size": st.integers(1, 64),
-            "seed": st.integers(0, 2**31 - 1),
         }
         entry = st.sampled_from(STAGES).flatmap(lambda stage: st.fixed_dictionaries(
             {"stage": st.just(stage)}, optional={k: values[k] for k in STAGE_KEYS[stage]}))
@@ -134,8 +135,7 @@ class TestManifestParsing:
             "corpus": {"classes": data.draw(st.integers(2, 8)),
                        "n_per_class": data.draw(st.integers(5, 200)),
                        "test_n_per_class": data.draw(st.integers(1, 50)),
-                       "continual_n_per_class": data.draw(st.integers(1, 50)),
-                       "seed": data.draw(st.integers(0, 2**31 - 1))},
+                       "continual_n_per_class": data.draw(st.integers(1, 50))},
             "stages": stages,
         }
         adversarial = [e["stage"] for e in stages if e["stage"] in DAT_STAGES]
@@ -189,7 +189,6 @@ class TestManifestParsing:
         # dat_only does not read continual_epochs; this entry becomes a stage that does
         ("stage", {"stage": "continual_plus_dat", "continual_epochs": -2},
          "continual_epochs must be an integer >= 0, got -2"),
-        ("stage", {"seed": -1}, "seed must be an integer >= 0, got -1"),
         ("stage", {"lambda": 0}, "grl_lambda must be a finite number > 0, got 0"),
         ("stage", {"eta": "fast"}, "eta must be a finite number > 0, got 'fast'"),
         ("stage", {"alpha": float("nan")}, "alpha must be a finite number > 0, got nan"),
@@ -197,7 +196,8 @@ class TestManifestParsing:
         ("manifest", {"seed": -1}, "seed must be an integer >= 0, got -1"),
         ("manifest", {"splits_seed": 2.5}, "splits_seed must be an integer >= 0, got 2.5"),
         ("manifest", {"splits_seed": False}, "splits_seed must be an integer >= 0, got False"),
-        ("corpus", {"seed": -3}, "corpus seed must be an integer >= 0, got -3"),
+        # the corpus is built from the manifest seed, and names none of its own
+        ("corpus", {"seed": 1}, "unknown manifest key(s) in corpus: ['seed']"),
         ("sweep", {"lambdas": [1e-2, 1e400]}, "sweep lambda must be a finite number > 0, got inf"),
         ("sweep", {"lambdas": 0.1}, "sweep lambdas must be a non-empty list, got 0.1"),
         ("sweep", {"lambdas": [0.01, 0.1, 0.01]},
@@ -243,12 +243,15 @@ class TestManifestParsing:
 
     @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
-    @pytest.mark.parametrize("stage, key", [(stage, key) for stage in STAGES for key in SETTINGS
+    # every stage trains at the manifest seed, so no stage entry takes a seed of its own
+    @pytest.mark.parametrize("stage, key", [(stage, key) for stage in STAGES
+                                            for key in [*SETTINGS, "seed"]
                                             if key not in STAGE_KEYS[stage]])
     def test_setting_the_stage_does_not_read_rejected(self, tmp_path, capsys, command, dry_run,
                                                       stage, key):
         stages = [e for e in TINY_MANIFEST["stages"] if e["stage"] != stage]
-        path = _write_manifest(tmp_path, stages=[*stages, {"stage": stage, key: SETTINGS[key]}])
+        entry = {"stage": stage, key: SETTINGS.get(key, TINY_MANIFEST["seed"])}
+        path = _write_manifest(tmp_path, stages=[*stages, entry])
         assert main([command, "--manifest", str(path), *dry_run]) == EXIT_CONFIG
         assert f"stage {stage!r} does not read [{key!r}]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -266,7 +269,7 @@ def _reference_standard_manifest(seed: int) -> ExperimentManifest:
         "seed": seed,
         "splits_seed": 7,
         "corpus": {"classes": 4, "n_per_class": 100, "test_n_per_class": 25,
-                   "continual_n_per_class": 50, "seed": seed},
+                   "continual_n_per_class": 50},
         "stages": [
             {"stage": "baseline", "epochs": 50},
             {"stage": "oracle", "epochs": 50},
@@ -297,6 +300,21 @@ class TestStandardManifest:
         assert [x.config.seed for x in s.stages] == [4, 4]
         assert (m.seed, m.corpus.seed) == (1, 1)  # the original is left alone
         assert [x.config.seed for x in m.stages] == [1, 1]
+
+    @pytest.mark.parametrize("seed, other", [(5, 1), (0, 3), (2, 2)])
+    def test_manifest_seed_key_is_with_seed(self, seed, other):
+        # the corpus and every stage are seeded by the manifest's seed key, as by --seed
+        m = ExperimentManifest.from_dict(dict(TINY_MANIFEST, seed=seed))
+        assert m == ExperimentManifest.from_dict(dict(TINY_MANIFEST, seed=other)).with_seed(seed)
+        assert (m.corpus.seed, *(s.config.seed for s in m.stages)) == (seed, seed, seed)
+        assert m.with_seed(m.seed) == m
+
+    def test_seed_apart_from_the_manifest_seed_refused(self):
+        m = ExperimentManifest.from_dict(dict(TINY_MANIFEST))
+        with pytest.raises(ConfigError, match=r"seeds \{'corpus': 3\} differ from the manifest"):
+            replace(m, corpus=replace(m.corpus, seed=3))
+        with pytest.raises(ConfigError, match=r"seeds \{'dat_only': 0\} differ from the manifest"):
+            replace(m, stages=[m.stages[0], replace(m.stages[1], config=TrainConfig())])
 
 
 class TestRunCommand:
@@ -339,10 +357,8 @@ class TestRunCommand:
         assert main(["run", "--manifest", str(manifest_path),
                      "--seed", "5", "--dry-run"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        corpus = next(l for l in lines if l.startswith("corpus: "))
-        assert "'seed': 5" in corpus
-        stages = [l for l in lines if l.startswith("stage: ")]
-        assert len(stages) == 2 and all(" seed=5 " in l for l in stages)
+        assert "seed: 5" in lines  # once: it seeds the corpus and every stage
+        assert not [l for l in lines if l.startswith(("corpus: ", "stage: ")) and "seed" in l]
 
     def test_missing_manifest_exit_code(self, tmp_path, capsys):
         code = main(["run", "--manifest", str(tmp_path / "none.json")])
@@ -504,10 +520,17 @@ class TestProbeCommand:
             probe = domain_probe(res.model, data.splits, ProbeConfig(seed=manifest.seed))
             rows.append({"stage": res.stage, "objective": res.objective,
                          "lambda": res.grl_lambda, "probe_acc": probe.probe_acc,
-                         "chance_level": probe.chance_level, "converged": probe.converged})
+                         "chance_level": probe.chance_level, "converged": probe.converged,
+                         "seed": manifest.seed})
         assert [r["objective"] for r in rows] == [None, None, None, "ce", "ce"]
         assert (tmp_path / "probe.json").read_bytes() == \
             (json.dumps(rows, indent=2) + "\n").encode()
+
+    def test_probe_json_records_the_probe_seed(self, manifest_path, tmp_path):
+        assert main(["run", "--manifest", str(manifest_path), "--seed", "2"]) == EXIT_OK
+        assert main(["probe", "--manifest", str(manifest_path), "--seed", "2"]) == EXIT_OK
+        rows = json.loads((tmp_path / "out" / "probe.json").read_text())
+        assert [r["seed"] for r in rows] == [2, 2]
 
     @pytest.mark.parametrize("named_by", ["--seed", "manifest.json"])
     def test_probe_trains_nothing(self, tmp_path, monkeypatch, named_by):
@@ -679,6 +702,23 @@ def _readme_commands() -> list[list[str]]:
         elif in_sh and line.startswith("datforge "):
             commands.append(shlex.split(line, comments=True)[1:])
     return commands
+
+
+def test_readme_stage_key_table_is_stage_keys():
+    lines = (REPO / "README.md").read_text().splitlines()
+    start = next(i for i, l in enumerate(lines) if "keys besides `stage`" in l) + 2  # past |---|
+    table, first = {}, []
+    for line in lines[start:]:
+        if not line.lstrip().startswith("|"):
+            break
+        stages, keys = (re.findall(r"`(\w+)`", cell) for cell in line.split("|")[1:3])
+        above = re.search(r"the (\w+) above", line)  # the first row's keys, counted in words
+        if above:
+            assert above.group(1) == ["three", "four", "five"][len(first) - 3], line
+            keys = first + keys
+        first = first or keys
+        table.update(dict.fromkeys(stages, keys))
+    assert table == {stage: list(keys) for stage, keys in STAGE_KEYS.items()}
 
 
 def test_readme_cli_block_parses_and_dry_runs(monkeypatch, capsys):

@@ -556,7 +556,6 @@ def test_shared_pretraining_matches_each_stage_alone(tmp_path, monkeypatch, jobs
     ({"eta": 1e-3, "lambda": 0.5, "objective": "bce"}, ["continual_only"]),
     ({"continual_epochs": 2}, ["continual_only", "continual_plus_dat"]),
     ({"batch_size": 8}, ["continual_only", "continual_plus_dat"]),
-    ({"seed": 2}, ["continual_only", "continual_plus_dat"]),
 ])
 def test_one_pretraining_per_distinct_setting(monkeypatch, change, pretrainings):
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)  # count in this process

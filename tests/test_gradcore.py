@@ -289,16 +289,20 @@ class TestGradientFidelity:
             assert max_rel_err(xp.grad, finite_diff(loss_of, x)) < 1e-4, op
 
     @settings(max_examples=25, deadline=None)
-    @given(small_matrix())
-    def test_pooling_ops(self, x):
+    @given(small_matrix(), st.data())
+    def test_pooling_ops(self, x, data):
+        rows = x.shape[0]
+        cut_after = data.draw(st.lists(st.booleans(), min_size=rows - 1, max_size=rows - 1))
+        lengths = np.diff([0, *(i + 1 for i, cut in enumerate(cut_after) if cut), rows])
+
         def loss_of(xv):
             tape = Tape()
-            pooled = tape.mean_over_rows(tape.const(xv))
+            pooled = tape.mean_pool_segments(tape.const(xv), lengths)
             return float(tape.sum(tape.mul(pooled, pooled)).value)
 
         xp = make_param(x, name="x")
         tape = Tape()
-        pooled = tape.mean_over_rows(tape.param(xp))
+        pooled = tape.mean_pool_segments(tape.param(xp), lengths)
         tape.backward(tape.sum(tape.mul(pooled, pooled)))
         assert max_rel_err(xp.grad, finite_diff(loss_of, x)) < 1e-4
 

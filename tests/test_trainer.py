@@ -390,7 +390,8 @@ class TestLambdaSweep:
 
         monkeypatch.setattr(pipeline, "run_stage", recording)
         manifest = ExperimentManifest.from_dict({
-            "corpus": {"n_per_class": 10, "test_n_per_class": 3, "seed": 11},
+            "corpus": {"n_per_class": 10, "test_n_per_class": 3},
+            "seed": 11,
             "splits_seed": 5,
             "stages": [{"stage": "dat_only", "epochs": 1, "batch_size": 4}],
             "sweep": {"lambdas": [1e-3, 1e-1], "stage": "dat_only"},
