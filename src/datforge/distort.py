@@ -302,10 +302,16 @@ def add_gaussian(clean: Waveform, snr_db: float, seed: int) -> Waveform:
     return mix_at_snr(clean, rng.standard_normal(clean.samples.size), snr_db)
 
 
-def make_impulse_response(t60_s: float, seed: int) -> np.ndarray:
-    """Exponentially decaying noise IR with unit direct path and the given T60."""
+def make_impulse_response(t60_s: float, seed: int, clip_samples: int) -> np.ndarray:
+    """Exponentially decaying noise IR with unit direct path and the given T60.
+
+    It holds ``max(2, T60 * 16000)`` taps, cut to the ``clip_samples`` a reverb of
+    that clip reads.  The cut IR is the first taps of the uncut one: each tap's
+    draw and decay depend only on its index.
+    """
     rng = np.random.default_rng(seed)
-    n = max(2, int(t60_s * DEFAULT_SR))
+    # the inner min keeps a T60 as long as 1e308 s from overflowing the int
+    n = min(clip_samples, max(2, int(min(t60_s * DEFAULT_SR, clip_samples))))
     decay = np.exp(-np.arange(n) / DEFAULT_SR * (np.log(1000.0) / t60_s))
     ir = 0.3 * rng.standard_normal(n) * decay
     ir[0] = 1.0
@@ -345,7 +351,7 @@ def apply_spec(clean: Waveform, spec: DistortionSpec, bank=None, pool: str = "tr
         bank = bank or ProceduralNoiseBank()
         noise, _name = bank.draw(pool, clean.samples.size, spec.seed)
         return mix_at_snr(clean, noise, spec.snr_db)
-    ir = make_impulse_response(spec.ir_id, spec.seed)
+    ir = make_impulse_response(spec.ir_id, spec.seed, clean.samples.size)
     return apply_reverb(clean, ir)
 
 

@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .distort import Clip, CorpusSplit
-from .errors import ConfigError
+from .errors import ConfigError, require_count
 from .gradcore import Optimizer, Tape
 from .models import DannModel, Head
 from .objectives import task_loss
@@ -62,6 +62,10 @@ PROBE_PLATEAU = 1e-4  # largest loss range over the last 10 epochs that counts a
 class ProbeConfig:
     epochs: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        require_count("probe epochs", self.epochs, 1)
+        require_count("probe seed", self.seed, 0)
 
 
 def domain_probe(model: DannModel, splits: CorpusSplit,

@@ -52,9 +52,10 @@ from .trainer import (
 )
 
 RUN_MARKER = "RUN-INCOMPLETE"
-# every name run_experiment writes into its output dir, whatever the manifest's stages
+# every name run_experiment writes into its output dir, whatever the manifest's stages,
+# and the probe.json that run_probe writes there from its checkpoints
 RUN_FILES = ("report.csv", "report.json", "manifest.json", "training_log.csv",
-             "corpus_manifest.jsonl", RUN_MARKER,
+             "corpus_manifest.jsonl", RUN_MARKER, "probe.json",
              *(f"{stage}{end}" for stage in STAGES for end in (".ckpt", "_continual.ckpt")))
 
 
@@ -251,10 +252,12 @@ class ExperimentData:
 def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
                           with_continual: bool = True) -> ExperimentData:
     bank = WavNoiseBank(corpus.noise_wav_dir) if corpus.noise_wav_dir else None
-    train = synth_corpus(corpus.n_per_class, corpus.classes, corpus.seed)
     test = synth_corpus(corpus.test_n_per_class, corpus.classes,
                         derive_seed(corpus.seed, 101), id_prefix="test")
-    splits = build_splits(train, splits_seed, test_corpus=test, noise_bank=bank)
+    # the training corpus is passed unnamed, so that T's clean sources, which the split
+    # replaces with distorted copies, are freed before the continual set is built
+    splits = build_splits(synth_corpus(corpus.n_per_class, corpus.classes, corpus.seed),
+                          splits_seed, test_corpus=test, noise_bank=bank)
     continual = []
     if with_continual:
         cont_corpus = synth_corpus(corpus.continual_n_per_class, corpus.classes,
@@ -383,6 +386,8 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
             (out_dir / name).unlink(missing_ok=True)
     out_dir.mkdir(parents=True, exist_ok=True)
     marker.write_text("running\n")
+    # a probe of the checkpoints this run replaces no longer describes the dir
+    (out_dir / "probe.json").unlink(missing_ok=True)
     write_manifest(out_dir / "corpus_manifest.jsonl", manifest_entries(data.splits))
 
     results = run_stages(manifest, data, checkpoint_dir=out_dir)

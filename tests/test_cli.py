@@ -532,6 +532,22 @@ class TestProbeCommand:
         rows = json.loads((tmp_path / "out" / "probe.json").read_text())
         assert [r["seed"] for r in rows] == [2, 2]
 
+    def test_rerun_removes_the_probe_of_the_checkpoints_it_replaces(self, manifest_path,
+                                                                     tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest_path)]) == EXIT_OK
+        assert main(["probe", "--manifest", str(manifest_path)]) == EXIT_OK
+        (out / "notes.txt").write_text("kept")
+        assert main(["run", "--manifest", str(manifest_path), "--seed", "2"]) == EXIT_OK
+        assert not (out / "probe.json").exists()  # its rows described the seed-1 checkpoints
+        assert (out / "notes.txt").read_text() == "kept"
+        capsys.readouterr()
+        assert main(["probe", "--manifest", str(manifest_path)]) == EXIT_CONFIG
+        assert f"{out} holds no finished run" in capsys.readouterr().err
+        assert main(["probe", "--manifest", str(manifest_path), "--seed", "2"]) == EXIT_OK
+        rows = json.loads((out / "probe.json").read_text())
+        assert [r["seed"] for r in rows] == [2, 2]
+
     @pytest.mark.parametrize("named_by", ["--seed", "manifest.json"])
     def test_probe_trains_nothing(self, tmp_path, monkeypatch, named_by):
         from datforge import pipeline, trainer

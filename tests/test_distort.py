@@ -122,7 +122,7 @@ class TestReverb:
         assert np.array_equal(out.samples, clip.waveform.samples)
 
     def test_ir_has_unit_direct_path_and_decays(self):
-        ir = make_impulse_response(0.5, seed=3)
+        ir = make_impulse_response(0.5, seed=3, clip_samples=16000)
         assert ir[0] == 1.0
         assert ir.size == int(0.5 * 16000)
         head = np.abs(ir[1:100]).mean()
@@ -131,8 +131,39 @@ class TestReverb:
 
     def test_reverb_preserves_length(self):
         clip = synth_corpus(1, 2, seed=8)[0]
-        out = apply_reverb(clip.waveform, make_impulse_response(0.8, seed=1))
+        ir = make_impulse_response(0.8, seed=1, clip_samples=clip.waveform.samples.size)
+        out = apply_reverb(clip.waveform, ir)
         assert out.samples.size == clip.waveform.samples.size
+
+    # (T60, clip length, taps): min(clip length, max(2, int(T60 * 16000)))
+    @pytest.mark.parametrize("t60, clip_samples, taps", [
+        (0.2, 16000, 3200), (0.5, 16000, 8000), (1.2, 16000, 16000), (1e6, 16000, 16000),
+        (1e308, 16000, 16000), (1e-5, 16000, 2), (0.5, 1, 1), (0.5, 2, 2), (0.5, 3000, 3000)])
+    def test_ir_is_no_longer_than_its_clip(self, t60, clip_samples, taps):
+        ir = make_impulse_response(t60, seed=5, clip_samples=clip_samples)
+        assert ir.size == taps
+        assert ir[0] == 1.0  # the direct path
+
+    @staticmethod
+    def uncut_impulse_response(t60_s, seed):
+        """The IR of every tap up to T60, whatever the clip's length."""
+        rng = np.random.default_rng(seed)
+        n = max(2, int(t60_s * 16000))
+        decay = np.exp(-np.arange(n) / 16000 * (np.log(1000.0) / t60_s))
+        ir = 0.3 * rng.standard_normal(n) * decay
+        ir[0] = 1.0
+        return ir
+
+    # every T60 of the corpus (TRAIN_T60S, UNSEEN_T60S), and one longer than any clip
+    @pytest.mark.parametrize("t60", [0.2, 0.3, 0.5, 0.8, 1.2, 2.5])
+    @pytest.mark.parametrize("seed", [0, 17, 4242])
+    def test_reverb_of_the_cut_ir_equals_the_uncut_one(self, t60, seed):
+        clip = synth_corpus(1, 2, seed=seed)[0].waveform
+        spec = DistortionSpec(REVERB, seed, ir_id=t60)
+        expected = apply_reverb(clip, self.uncut_impulse_response(t60, seed))
+        out = apply_spec(clip, spec)
+        assert out.samples.tobytes() == expected.samples.tobytes()
+        assert out.gain_applied == expected.gain_applied
 
     def test_missing_direct_path_rejected(self):
         clip = synth_corpus(1, 2, seed=8)[0]

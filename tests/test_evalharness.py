@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,17 @@ class TestDomainProbe:
     def test_loss_history_has_epoch_length(self, trained, small_splits):
         res = domain_probe(trained.model, small_splits, ProbeConfig(epochs=30))
         assert len(res.losses) == 30
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"epochs": 0}, "probe epochs must be an integer >= 1, got 0"),
+        ({"epochs": -3}, "probe epochs must be an integer >= 1, got -3"),
+        ({"epochs": 2.5}, "probe epochs must be an integer >= 1, got 2.5"),
+        ({"seed": -1}, "probe seed must be an integer >= 0, got -1"),
+        ({"seed": True}, "probe seed must be an integer >= 0, got True"),
+    ])
+    def test_bad_probe_config_rejected(self, kw, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ProbeConfig(**kw)
 
 
 class TestReport:

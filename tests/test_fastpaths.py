@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -98,7 +99,7 @@ def test_reverb_matches_direct_convolution(n, taps, seed):
 @pytest.mark.parametrize("t60", [0.2, 0.8, 1.2])  # 1.2 s IR is longer than the 1 s clip
 def test_reverb_matches_direct_convolution_on_corpus_irs(t60):
     samples = np.random.default_rng(0).uniform(-0.8, 0.8, 16000)
-    ir = make_impulse_response(t60, seed=4)
+    ir = make_impulse_response(t60, seed=4, clip_samples=int(t60 * 16000))  # uncut
     out = apply_reverb(Waveform(samples), ir).samples
     np.testing.assert_allclose(out, reference_reverb(samples, ir), rtol=0, atol=1e-12)
 
@@ -642,3 +643,34 @@ def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch):
     waves |= {id(w) for c in data.continual_set for w in (c.waveform, c.clean)}
     assert len(calls) == len(set(calls)) == len(waves)
     assert set(calls) == waves
+
+
+# ---------------------------------------------------------------------------
+# corpus build: T's clean sources are freed once the split is made
+# ---------------------------------------------------------------------------
+
+def test_corpus_build_frees_the_target_sources_before_the_continual_set(monkeypatch):
+    corpus = pipeline.CorpusSpec(classes=2, n_per_class=5, test_n_per_class=1,
+                                 continual_n_per_class=1)
+    sources = {}  # training-corpus clip id -> weakref to its clean Waveform
+    alive_then = []  # the ids still alive when build_continual_set is called
+    real_synth, real_continual = pipeline.synth_corpus, pipeline.build_continual_set
+
+    def synth_keeping_refs(n_per_class, classes, seed, id_prefix="clip"):
+        clips = real_synth(n_per_class, classes, seed, id_prefix)
+        if id_prefix == "clip":  # the training corpus, which the split halves into S and T
+            sources.update((c.clip_id, weakref.ref(c.waveform)) for c in clips)
+        return clips
+
+    def continual_checking(*args, **kwargs):
+        alive_then.append({cid for cid, ref in sources.items() if ref() is not None})
+        return real_continual(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "synth_corpus", synth_keeping_refs)
+    monkeypatch.setattr(pipeline, "build_continual_set", continual_checking)
+    data = build_experiment_data(corpus, 7)
+    s_ids = {c.clip_id for c in data.splits.S}
+    t_ids = {c.clip_id for c in data.splits.T}
+    assert len(sources) == 10 and s_ids | t_ids == set(sources) and not s_ids & t_ids
+    assert alive_then == [s_ids]  # every S clip alive, every T source freed
+    assert all(sources[c.clip_id]() is c.waveform for c in data.splits.S)
