@@ -25,10 +25,11 @@ from .distort import (
     largest_remainder_counts,
     manifest_row,
     read_wav,
+    require_t60,
     write_manifest,
     write_wav,
 )
-from .errors import ConfigError, DatforgeError, FormatError, require_count, require_positive
+from .errors import ConfigError, DatforgeError, FormatError, require_count
 from .pipeline import ExperimentManifest, run_experiment, run_probe, run_sweep, usable_cpus
 
 EXIT_OK = 0
@@ -112,7 +113,7 @@ def _cmd_distort(args) -> int:
     if not math.isfinite(snr):
         raise ConfigError(f"--snr must be a finite number of dB, got {snr}")
     if args.t60 is not None:
-        require_positive("--t60", args.t60)
+        require_t60("--t60", args.t60)
     require_count("--seed", args.seed, 0)
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     if not in_dir.is_dir():
@@ -183,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["mixed", ADDITIVE_BANK, GAUSSIAN, REVERB])
     p_dist.add_argument("--snr", type=float, default=None,
                         help=f"SNR in dB for the additive kinds (default {DEFAULT_SNR_DB:g})")
-    p_dist.add_argument("--t60", type=float, default=None, help="reverb decay in seconds, > 0")
+    p_dist.add_argument("--t60", type=float, default=None,
+                        help="reverb decay in seconds, at least one sample period (1/16000 s)")
     p_dist.add_argument("--seed", type=int, default=0)
     p_dist.set_defaults(fn=_cmd_distort)
     return parser

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, PolicyError
+from .errors import ConfigError, FormatError, PolicyError, require_positive
 
 DEFAULT_SR = 16000  # the one rate datforge reads, synthesizes and writes (SUPERB's speech rate)
 
@@ -302,13 +302,26 @@ def add_gaussian(clean: Waveform, snr_db: float, seed: int) -> Waveform:
     return mix_at_snr(clean, rng.standard_normal(clean.samples.size), snr_db)
 
 
+MIN_T60_S = 1 / DEFAULT_SR  # one sample period; log(1000) / T60 overflows for a subnormal T60
+
+
+def require_t60(name: str, t60_s):
+    """Raise ``ConfigError`` unless ``t60_s`` is a finite decay of at least one sample period."""
+    require_positive(name, t60_s)
+    if t60_s < MIN_T60_S:
+        raise ConfigError(f"{name} must be at least one sample period ({MIN_T60_S:g} s), "
+                          f"got {t60_s!r}")
+
+
 def make_impulse_response(t60_s: float, seed: int, clip_samples: int) -> np.ndarray:
     """Exponentially decaying noise IR with unit direct path and the given T60.
 
     It holds ``max(2, T60 * 16000)`` taps, cut to the ``clip_samples`` a reverb of
     that clip reads.  The cut IR is the first taps of the uncut one: each tap's
-    draw and decay depend only on its index.
+    draw and decay depend only on its index.  A T60 under one sample period is
+    a ``ConfigError``.
     """
+    require_t60("T60", t60_s)
     rng = np.random.default_rng(seed)
     # the inner min keeps a T60 as long as 1e308 s from overflowing the int
     n = min(clip_samples, max(2, int(min(t60_s * DEFAULT_SR, clip_samples))))
@@ -397,30 +410,48 @@ def _distort_clips(clips, kinds, seed, bank, pool) -> list[Clip]:
     return out
 
 
+def _split_draws(n_train: int, n_test: int, seed: int):
+    """The split's draws, in their one order: the permutation of the training corpus,
+    T's kinds, then the seen and unseen test kinds, all from one rng."""
+    rng = np.random.default_rng(derive_seed(seed, 0))
+    perm = rng.permutation(n_train)
+    t_kinds = _assign_kinds(n_train // 2, TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
+    seen_kinds = _assign_kinds(n_test, TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
+    unseen_kinds = _assign_kinds(n_test, (ADDITIVE_BANK, REVERB), (0.7, 0.3), rng)
+    return perm, t_kinds, seen_kinds, unseen_kinds
+
+
 def build_splits(corpus: list[Clip], seed: int, test_corpus: list[Clip] | None = None,
                  noise_bank=None) -> CorpusSplit:
     """50/50 clean/noisy split of the training corpus plus the three test sets.
 
-    The clip left over from an odd-sized corpus goes to S.
+    The clip left over from an odd-sized corpus goes to S.  Without a
+    ``test_corpus`` the test sets are empty, and ``with_test_sets`` can add
+    them later: they come out the same either way.
     """
     if len(corpus) < MIN_SPLIT_CLIPS:
         raise ValueError(f"corpus too small to split ({len(corpus)} < {MIN_SPLIT_CLIPS})")
-    rng = np.random.default_rng(derive_seed(seed, 0))
-    perm = rng.permutation(len(corpus))
+    perm, kinds, _, _ = _split_draws(len(corpus), 0, seed)
     half = len(corpus) // 2
     s_clips = [corpus[i] for i in (*perm[:half], *perm[2 * half:])]
     t_clips = [corpus[i] for i in perm[half : 2 * half]]
-    kinds = _assign_kinds(len(t_clips), TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
     target = [replace(c, label=None)
               for c in _distort_clips(t_clips, kinds, derive_seed(seed, 1), noise_bank, "train")]
-    test_corpus = test_corpus or []
-    seen_kinds = _assign_kinds(len(test_corpus), TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
+    split = CorpusSplit(s_clips, target, [], [], [], _target_labels=[c.label for c in t_clips])
+    return with_test_sets(split, test_corpus or [], seed, noise_bank)
+
+
+def with_test_sets(split: CorpusSplit, test_corpus: list[Clip], seed: int,
+                   noise_bank=None) -> CorpusSplit:
+    """``split`` with the three test sets of ``test_corpus``, as ``build_splits`` of
+    ``split``'s training corpus would have drawn them."""
+    _, _, seen_kinds, unseen_kinds = _split_draws(len(split.S) + len(split.T), len(test_corpus),
+                                                  seed)
     test_seen = _distort_clips(test_corpus, seen_kinds, derive_seed(seed, 2), noise_bank, "train")
-    unseen_kinds = _assign_kinds(len(test_corpus), (ADDITIVE_BANK, REVERB), (0.7, 0.3), rng)
     test_unseen = _distort_clips(test_corpus, unseen_kinds, derive_seed(seed, 3), noise_bank,
                                  "unseen")
-    return CorpusSplit(s_clips, target, list(test_corpus), test_seen, test_unseen,
-                       _target_labels=[c.label for c in t_clips])
+    return replace(split, test_clean=list(test_corpus), test_seen=test_seen,
+                   test_unseen=test_unseen)
 
 
 def build_continual_set(waveforms: list[Waveform], seed: int, noise_bank=None) -> list[Clip]:

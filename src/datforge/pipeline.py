@@ -20,6 +20,7 @@ from .distort import (
     derive_seed,
     manifest_entries,
     synth_corpus,
+    with_test_sets,
     write_manifest,
 )
 from .errors import ConfigError, require_count, require_positive
@@ -249,15 +250,19 @@ class ExperimentData:
     classes: int  # the corpus's; the label head gets one output per class
 
 
-def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
-                          with_continual: bool = True) -> ExperimentData:
-    bank = WavNoiseBank(corpus.noise_wav_dir) if corpus.noise_wav_dir else None
-    test = synth_corpus(corpus.test_n_per_class, corpus.classes,
-                        derive_seed(corpus.seed, 101), id_prefix="test")
+def _noise_bank(corpus: CorpusSpec) -> WavNoiseBank | None:
+    """The corpus's WAV noise bank, or None for the procedural one; a bad WAV raises here."""
+    return WavNoiseBank(corpus.noise_wav_dir) if corpus.noise_wav_dir else None
+
+
+def build_training_data(corpus: CorpusSpec, splits_seed: int, with_continual: bool,
+                        bank: WavNoiseBank | None) -> ExperimentData:
+    """S, T and the continual set: what training reads.  The splits' test sets are
+    empty; ``add_test_sets`` builds them."""
     # the training corpus is passed unnamed, so that T's clean sources, which the split
     # replaces with distorted copies, are freed before the continual set is built
     splits = build_splits(synth_corpus(corpus.n_per_class, corpus.classes, corpus.seed),
-                          splits_seed, test_corpus=test, noise_bank=bank)
+                          splits_seed, noise_bank=bank)
     continual = []
     if with_continual:
         cont_corpus = synth_corpus(corpus.continual_n_per_class, corpus.classes,
@@ -265,6 +270,23 @@ def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
         continual = build_continual_set([c.waveform for c in cont_corpus],
                                         derive_seed(splits_seed, 7), bank)
     return ExperimentData(splits, continual, corpus.classes)
+
+
+def add_test_sets(splits: CorpusSplit, corpus: CorpusSpec, splits_seed: int,
+                  bank: WavNoiseBank | None) -> CorpusSplit:
+    """``splits`` with the clean, seen-distortion and unseen-distortion test sets."""
+    test = synth_corpus(corpus.test_n_per_class, corpus.classes,
+                        derive_seed(corpus.seed, 101), id_prefix="test")
+    return with_test_sets(splits, test, splits_seed, bank)
+
+
+def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
+                          with_continual: bool = True) -> ExperimentData:
+    """Every split of the corpus: ``build_training_data``, then ``add_test_sets``."""
+    bank = _noise_bank(corpus)
+    data = build_training_data(corpus, splits_seed, with_continual, bank)
+    data.splits = add_test_sets(data.splits, corpus, splits_seed, bank)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +396,15 @@ def run_stages(manifest: ExperimentManifest, data: ExperimentData,
 
 
 def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport:
-    """Full pipeline: corpus -> stages -> report files under ``out_dir``."""
-    # the corpus is built first, so that a bad noise WAV leaves the output dir untouched
+    """Full pipeline: corpus -> stages -> report files under ``out_dir``.
+
+    The test sets are built after training, so the forked stage workers do not
+    inherit them, and after the continual set, which only pretraining reads, is freed.
+    """
+    # the noise bank is built first, so that a bad noise WAV leaves the output dir untouched
+    bank = _noise_bank(manifest.corpus)
     needs_continual = any(s.stage in CONTINUAL_STAGES for s in manifest.stages)
-    data = build_experiment_data(manifest.corpus, manifest.splits_seed, needs_continual)
+    data = build_training_data(manifest.corpus, manifest.splits_seed, needs_continual, bank)
 
     out_dir = Path(out_dir)
     marker = out_dir / RUN_MARKER
@@ -388,7 +415,6 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
     marker.write_text("running\n")
     # a probe of the checkpoints this run replaces no longer describes the dir
     (out_dir / "probe.json").unlink(missing_ok=True)
-    write_manifest(out_dir / "corpus_manifest.jsonl", manifest_entries(data.splits))
 
     results = run_stages(manifest, data, checkpoint_dir=out_dir)
     log_rows = [row for res in results for row in res.log]
@@ -396,11 +422,16 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
     for res in results:
         res.model.save(out_dir / f"{res.stage}.ckpt")
 
+    splits = data.splits
+    del data  # the run's last reference to the continual set, freed before the test sets
+    splits = add_test_sets(splits, manifest.corpus, manifest.splits_seed, bank)
+    write_manifest(out_dir / "corpus_manifest.jsonl", manifest_entries(splits))
+
     payload = manifest.to_dict()
     # where a run is written is not part of what it computes
     meta = {"seed": manifest.seed, "splits_seed": manifest.splits_seed,
             "config_hash": config_hash({k: v for k, v in payload.items() if k != "output_dir"})}
-    report = build_report(results, data.splits, meta)
+    report = build_report(results, splits, meta)
     write_report_csv(out_dir / "report.csv", report)
     write_report_json(out_dir / "report.json", report)
     (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -464,8 +495,10 @@ def _write_sweep_csv(path, rows: list[dict]):
 
 def run_probe(manifest: ExperimentManifest, out_dir: Path) -> list[dict]:
     """Probe each stage's checkpoint in the finished run of ``manifest`` in ``out_dir``."""
-    # the corpus is built first, so that a bad noise WAV is reported before anything else
-    data = build_experiment_data(manifest.corpus, manifest.splits_seed, with_continual=False)
+    # S and T, all the probe reads, are built first, so that a bad noise WAV is reported
+    # before anything else
+    data = build_training_data(manifest.corpus, manifest.splits_seed, with_continual=False,
+                               bank=_noise_bank(manifest.corpus))
     out_dir = Path(out_dir)
     try:
         recorded = json.loads((out_dir / "manifest.json").read_text())

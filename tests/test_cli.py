@@ -532,6 +532,21 @@ class TestProbeCommand:
         rows = json.loads((tmp_path / "out" / "probe.json").read_text())
         assert [r["seed"] for r in rows] == [2, 2]
 
+    def test_probe_builds_only_s_and_t(self, manifest_path, tmp_path, monkeypatch):
+        from datforge import pipeline
+
+        assert main(["run", "--manifest", str(manifest_path)]) == EXIT_OK
+        built = []  # the id prefix of each corpus the probe synthesizes
+        real = pipeline.synth_corpus
+
+        def recording(n_per_class, classes, seed, id_prefix="clip"):
+            built.append(id_prefix)
+            return real(n_per_class, classes, seed, id_prefix)
+
+        monkeypatch.setattr(pipeline, "synth_corpus", recording)
+        assert main(["probe", "--manifest", str(manifest_path)]) == EXIT_OK
+        assert built == ["clip"]  # the training corpus: no test corpus, no continual one
+
     def test_rerun_removes_the_probe_of_the_checkpoints_it_replaces(self, manifest_path,
                                                                      tmp_path, capsys):
         out = tmp_path / "out"
@@ -662,6 +677,8 @@ class TestDistortCommand:
         (["--t60=-1"], "--t60 must be a finite number > 0, got -1.0"),
         (["--t60", "nan"], "--t60 must be a finite number > 0, got nan"),
         (["--t60", "inf"], "--t60 must be a finite number > 0, got inf"),
+        (["--kind", "reverb", "--t60", "5e-324"],
+         "--t60 must be at least one sample period (6.25e-05 s), got 5e-324"),
         (["--seed=-1"], "--seed must be an integer >= 0, got -1"),
         (["--kind", "gaussian", "--t60", "0.5"], "--t60 is not read by --kind gaussian"),
         (["--kind", "additive_bank", "--t60", "0.5"], "--t60 is not read by --kind additive_bank"),

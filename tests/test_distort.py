@@ -138,11 +138,16 @@ class TestReverb:
     # (T60, clip length, taps): min(clip length, max(2, int(T60 * 16000)))
     @pytest.mark.parametrize("t60, clip_samples, taps", [
         (0.2, 16000, 3200), (0.5, 16000, 8000), (1.2, 16000, 16000), (1e6, 16000, 16000),
-        (1e308, 16000, 16000), (1e-5, 16000, 2), (0.5, 1, 1), (0.5, 2, 2), (0.5, 3000, 3000)])
+        (1e308, 16000, 16000), (1 / 16000, 16000, 2), (0.5, 1, 1), (0.5, 2, 2), (0.5, 3000, 3000)])
     def test_ir_is_no_longer_than_its_clip(self, t60, clip_samples, taps):
         ir = make_impulse_response(t60, seed=5, clip_samples=clip_samples)
         assert ir.size == taps
         assert ir[0] == 1.0  # the direct path
+
+    @pytest.mark.parametrize("t60", [5e-324, 1e-5, 0.99 / 16000])
+    def test_t60_under_one_sample_refused(self, t60):
+        with pytest.raises(ConfigError, match="T60 must be at least one sample period"):
+            make_impulse_response(t60, seed=0, clip_samples=16000)
 
     @staticmethod
     def uncut_impulse_response(t60_s, seed):

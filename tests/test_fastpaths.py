@@ -619,12 +619,16 @@ def test_continual_sweep_matches_each_cell_alone(tmp_path, jobs):
 
 def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)  # count in this process
-    built = []
-    real_build = pipeline.build_experiment_data
+    built, tested = [], []  # the run's training data and its splits with the test sets
+    real_build, real_add = pipeline.build_training_data, pipeline.add_test_sets
 
     def keeping(*args, **kwargs):
         built.append(real_build(*args, **kwargs))
         return built[-1]
+
+    def keeping_tests(*args, **kwargs):
+        tested.append(real_add(*args, **kwargs))
+        return tested[-1]
 
     calls = []
     real = distort.featurize
@@ -633,11 +637,11 @@ def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch):
         calls.append(id(w))
         return real(w, *args)
 
-    monkeypatch.setattr(pipeline, "build_experiment_data", keeping)
+    monkeypatch.setattr(pipeline, "build_training_data", keeping)
+    monkeypatch.setattr(pipeline, "add_test_sets", keeping_tests)
     monkeypatch.setattr(distort, "featurize", counting)
     run_experiment(tiny_standard(), tmp_path / "out")
-    (data,) = built  # kept alive, so no two of its waveforms share an id
-    sp = data.splits
+    (data,), (sp,) = built, tested  # kept alive, so no two of their waveforms share an id
     waves = {id(c.waveform) for part in (sp.S, sp.T, sp.test_clean, sp.test_seen, sp.test_unseen)
              for c in part}
     waves |= {id(w) for c in data.continual_set for w in (c.waveform, c.clean)}
@@ -674,3 +678,70 @@ def test_corpus_build_frees_the_target_sources_before_the_continual_set(monkeypa
     assert len(sources) == 10 and s_ids | t_ids == set(sources) and not s_ids & t_ids
     assert alive_then == [s_ids]  # every S clip alive, every T source freed
     assert all(sources[c.clip_id]() is c.waveform for c in data.splits.S)
+
+
+# ---------------------------------------------------------------------------
+# run: the stage workers fork before the test sets exist, and the continual set
+# is freed before they are built
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+def test_run_builds_the_test_sets_after_training_and_frees_the_continual_set(
+        tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+    test_clips, continual = [], []  # weakrefs to every test-corpus clip and continual waveform
+    at_map, at_test_synth = [], []  # what was alive when the stage map / test synthesis began
+    real_synth, real_continual, real_map = (pipeline.synth_corpus, pipeline.build_continual_set,
+                                            pipeline.parallel_map)
+
+    def alive(refs):
+        return [r for r in refs if r() is not None]
+
+    def synth_keeping_refs(n_per_class, classes, seed, id_prefix="clip"):
+        if id_prefix == "test":
+            at_test_synth.append(len(alive(continual)))
+        clips = real_synth(n_per_class, classes, seed, id_prefix)
+        if id_prefix == "test":
+            test_clips.extend(weakref.ref(c) for c in clips)
+        return clips
+
+    def continual_keeping_refs(*args, **kwargs):
+        clips = real_continual(*args, **kwargs)
+        continual.extend(weakref.ref(w) for c in clips for w in (c.waveform, c.clean))
+        return clips
+
+    def map_checking(*args, **kwargs):
+        at_map.append(len(test_clips))
+        return real_map(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "synth_corpus", synth_keeping_refs)
+    monkeypatch.setattr(pipeline, "build_continual_set", continual_keeping_refs)
+    monkeypatch.setattr(pipeline, "parallel_map", map_checking)
+    manifest = tiny_standard()
+    run_experiment(manifest, tmp_path / "out")
+    n_cont = manifest.corpus.continual_n_per_class * manifest.corpus.classes
+    assert len(continual) == 2 * n_cont  # each clip's distorted input and clean target
+    assert at_map == [0]  # no test clip synthesized yet when the stage map starts
+    assert at_test_synth == [0]  # every continual waveform freed by then
+    assert len(test_clips) == manifest.corpus.test_n_per_class * manifest.corpus.classes
+
+
+@pytest.mark.parametrize("classes, n_per_class", [(2, 5), (3, 5)], ids=["even", "odd"])
+def test_run_data_parts_compose_to_the_experiment_data(classes, n_per_class):
+    corpus = pipeline.CorpusSpec(classes=classes, n_per_class=n_per_class, test_n_per_class=2,
+                                 continual_n_per_class=2, seed=3)
+    whole = build_experiment_data(corpus, 7)
+    data = pipeline.build_training_data(corpus, 7, True, None)
+    assert data.splits.test_clean == data.splits.test_seen == data.splits.test_unseen == []
+    splits = pipeline.add_test_sets(data.splits, corpus, 7, None)
+
+    def clips(part):
+        return [(c.clip_id, c.label, c.spec, c.waveform.samples.tobytes(), c.waveform.gain_applied,
+                 None if c.clean is None else c.clean.samples.tobytes()) for c in part]
+
+    for name in ("S", "T", "test_clean", "test_seen", "test_unseen"):
+        assert clips(getattr(splits, name)) == clips(getattr(whole.splits, name)), name
+    assert clips(data.continual_set) == clips(whole.continual_set)
+    assert clips(splits.oracle_labeled_target("oracle")) == \
+        clips(whole.splits.oracle_labeled_target("oracle"))  # T with its hidden labels
+    assert data.classes == whole.classes == classes
