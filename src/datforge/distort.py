@@ -421,13 +421,11 @@ def _split_draws(n_train: int, n_test: int, seed: int):
     return perm, t_kinds, seen_kinds, unseen_kinds
 
 
-def build_splits(corpus: list[Clip], seed: int, test_corpus: list[Clip] | None = None,
-                 noise_bank=None) -> CorpusSplit:
-    """50/50 clean/noisy split of the training corpus plus the three test sets.
+def build_splits(corpus: list[Clip], seed: int, noise_bank=None) -> CorpusSplit:
+    """50/50 clean/noisy split of the training corpus, with empty test sets.
 
-    The clip left over from an odd-sized corpus goes to S.  Without a
-    ``test_corpus`` the test sets are empty, and ``with_test_sets`` can add
-    them later: they come out the same either way.
+    The clip left over from an odd-sized corpus goes to S.  ``with_test_sets``
+    adds the three test sets.
     """
     if len(corpus) < MIN_SPLIT_CLIPS:
         raise ValueError(f"corpus too small to split ({len(corpus)} < {MIN_SPLIT_CLIPS})")
@@ -437,14 +435,13 @@ def build_splits(corpus: list[Clip], seed: int, test_corpus: list[Clip] | None =
     t_clips = [corpus[i] for i in perm[half : 2 * half]]
     target = [replace(c, label=None)
               for c in _distort_clips(t_clips, kinds, derive_seed(seed, 1), noise_bank, "train")]
-    split = CorpusSplit(s_clips, target, [], [], [], _target_labels=[c.label for c in t_clips])
-    return with_test_sets(split, test_corpus or [], seed, noise_bank)
+    return CorpusSplit(s_clips, target, [], [], [], _target_labels=[c.label for c in t_clips])
 
 
 def with_test_sets(split: CorpusSplit, test_corpus: list[Clip], seed: int,
                    noise_bank=None) -> CorpusSplit:
-    """``split`` with the three test sets of ``test_corpus``, as ``build_splits`` of
-    ``split``'s training corpus would have drawn them."""
+    """``split`` with the three test sets of ``test_corpus``, drawn after the draws
+    ``build_splits`` made for ``split`` with the same ``seed``."""
     _, _, seen_kinds, unseen_kinds = _split_draws(len(split.S) + len(split.T), len(test_corpus),
                                                   seed)
     test_seen = _distort_clips(test_corpus, seen_kinds, derive_seed(seed, 2), noise_bank, "train")

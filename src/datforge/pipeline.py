@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import multiprocessing
 import os
@@ -42,22 +43,22 @@ from .trainer import (
     REPORTED_LAMBDAS,
     STAGE_FIELDS,
     STAGES,
-    Pretrained,
+    LogRow,
     StageResult,
     TrainConfig,
     adversarial_settings,
     pretrain,
     pretrain_settings,
     run_stage,
-    write_training_log,
 )
 
 RUN_MARKER = "RUN-INCOMPLETE"
-# every name run_experiment writes into its output dir, whatever the manifest's stages,
+# every name run_experiment can write into its output dir, whatever the manifest's stages,
 # and the probe.json that run_probe writes there from its checkpoints
 RUN_FILES = ("report.csv", "report.json", "manifest.json", "training_log.csv",
              "corpus_manifest.jsonl", RUN_MARKER, "probe.json",
-             *(f"{stage}{end}" for stage in STAGES for end in (".ckpt", "_continual.ckpt")))
+             *(f"{stage}.ckpt" for stage in STAGES),
+             *(f"{stage}_continual.ckpt" for stage in CONTINUAL_STAGES))
 
 
 def _check_keys(obj, allowed: set[str], where: str):
@@ -81,7 +82,8 @@ class CorpusSpec:
         for name, least in (("classes", 2), ("n_per_class", 1), ("test_n_per_class", 1),
                             ("continual_n_per_class", 1), ("seed", 0)):
             require_count(f"corpus {name}", getattr(self, name), least)
-        if self.noise_wav_dir is not None and not isinstance(self.noise_wav_dir, str):
+        if self.noise_wav_dir is not None and (not isinstance(self.noise_wav_dir, str)
+                                               or not self.noise_wav_dir):
             raise ConfigError(f"corpus noise_wav_dir must be a path string or null, "
                               f"got {self.noise_wav_dir!r}")
         if self.classes * self.n_per_class < MIN_SPLIT_CLIPS:
@@ -252,7 +254,7 @@ class ExperimentData:
 
 def _noise_bank(corpus: CorpusSpec) -> WavNoiseBank | None:
     """The corpus's WAV noise bank, or None for the procedural one; a bad WAV raises here."""
-    return WavNoiseBank(corpus.noise_wav_dir) if corpus.noise_wav_dir else None
+    return None if corpus.noise_wav_dir is None else WavNoiseBank(corpus.noise_wav_dir)
 
 
 def build_training_data(corpus: CorpusSpec, splits_seed: int, with_continual: bool,
@@ -350,11 +352,6 @@ def _model_cfg(cfg: TrainConfig, data: ExperimentData) -> ModelConfig:
     return ModelConfig(n_classes=data.classes, domain_setting=cfg.domain_setting)
 
 
-def _train_stage(stage: str, cfg: TrainConfig, data: ExperimentData,
-                 checkpoint_dir=None, pretrained: Pretrained | None = None) -> StageResult:
-    return run_stage(stage, data.splits, cfg, _model_cfg(cfg, data), checkpoint_dir, pretrained)
-
-
 def stage_groups(stages: list[StageSpec]) -> list[list[StageSpec]]:
     """The stages, one group per distinct continual pretraining, in order of first stage.
 
@@ -368,19 +365,18 @@ def stage_groups(stages: list[StageSpec]) -> list[list[StageSpec]]:
     return list(groups.values())
 
 
-def _train_group(group: list[StageSpec], data: ExperimentData,
-                 checkpoint_dir=None) -> list[StageResult]:
+def _train_group(group: list[StageSpec], data: ExperimentData) -> list[StageResult]:
     """Pretrain once if the group's stages are continual, then train each from its own copy."""
     first = group[0]
     pretrained = None
     if first.stage in CONTINUAL_STAGES:
         pretrained = pretrain(first.config, data.continual_set,
                               _model_cfg(first.config, data), first.stage)
-    return [_train_stage(s.stage, s.config, data, checkpoint_dir, pretrained) for s in group]
+    return [run_stage(s.stage, data.splits, s.config, _model_cfg(s.config, data), pretrained)
+            for s in group]
 
 
-def run_stages(manifest: ExperimentManifest, data: ExperimentData,
-               checkpoint_dir=None) -> list[StageResult]:
+def run_stages(manifest: ExperimentManifest, data: ExperimentData) -> list[StageResult]:
     """Train every stage of the manifest; results come in manifest order, whatever the workers.
 
     Each ``stage_groups`` group is one item of ``parallel_map``, with one
@@ -389,14 +385,27 @@ def run_stages(manifest: ExperimentManifest, data: ExperimentData,
     add to a copy that is lost, so wrapped stages train here.
     """
     jobs = 1 if hasattr(run_stage, "__wrapped__") else usable_cpus()
-    trained = parallel_map(lambda group: _train_group(group, data, checkpoint_dir),
+    trained = parallel_map(lambda group: _train_group(group, data),
                            stage_groups(manifest.stages), jobs)
     by_stage = {res.stage: res for results in trained for res in results}
     return [by_stage[spec.stage] for spec in manifest.stages]
 
 
+def write_training_log(path, rows: list[LogRow]):
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["stage", "epoch", "step", "L_y", "L_d", "lambda", "objective", "seed"])
+        for r in rows:
+            writer.writerow([
+                r.stage, r.epoch, r.step, f"{r.loss_y:.10g}",
+                "" if r.loss_d is None else f"{r.loss_d:.10g}",
+                "" if r.grl_lambda is None else f"{r.grl_lambda:g}",
+                r.objective or "", r.seed,
+            ])
+
+
 def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport:
-    """Full pipeline: corpus -> stages -> report files under ``out_dir``.
+    """Full pipeline: corpus -> stages -> checkpoints and report files under ``out_dir``.
 
     The test sets are built after training, so the forked stage workers do not
     inherit them, and after the continual set, which only pretraining reads, is freed.
@@ -416,11 +425,13 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
     # a probe of the checkpoints this run replaces no longer describes the dir
     (out_dir / "probe.json").unlink(missing_ok=True)
 
-    results = run_stages(manifest, data, checkpoint_dir=out_dir)
+    results = run_stages(manifest, data)
     log_rows = [row for res in results for row in res.log]
     write_training_log(out_dir / "training_log.csv", log_rows)
     for res in results:
         res.model.save(out_dir / f"{res.stage}.ckpt")
+        if res.start is not None:
+            res.start.save(out_dir / f"{res.stage}_continual.ckpt")
 
     splits = data.splits
     del data  # the run's last reference to the continual set, freed before the test sets
@@ -445,7 +456,8 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
 
 def _sweep_cell(args):
     data, cfg, lam, stage, pretrained = args
-    result = _train_stage(stage, replace(cfg, grl_lambda=lam), data, pretrained=pretrained)
+    cfg = replace(cfg, grl_lambda=lam)
+    result = run_stage(stage, data.splits, cfg, _model_cfg(cfg, data), pretrained)
     report = build_report([result], data.splits)
     row = report.rows[0]
     return lam, (row.clean_acc, row.seen_acc, row.unseen_acc)
@@ -482,8 +494,6 @@ def run_sweep(manifest: ExperimentManifest, out_dir: Path, jobs: int = 1) -> lis
 
 
 def _write_sweep_csv(path, rows: list[dict]):
-    import csv
-
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["lambda", "reported", "clean_acc", "seen_acc", "unseen_acc"])

@@ -9,7 +9,7 @@ domain loss, and the extractor descends task_loss - lambda * domain_loss.
 
 from __future__ import annotations
 
-import csv
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -90,19 +90,6 @@ class LogRow:
     grl_lambda: float | None
     objective: str | None
     seed: int
-
-
-def write_training_log(path, rows: list[LogRow]):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["stage", "epoch", "step", "L_y", "L_d", "lambda", "objective", "seed"])
-        for r in rows:
-            writer.writerow([
-                r.stage, r.epoch, r.step, f"{r.loss_y:.10g}",
-                "" if r.loss_d is None else f"{r.loss_d:.10g}",
-                "" if r.grl_lambda is None else f"{r.grl_lambda:g}",
-                r.objective or "", r.seed,
-            ])
 
 
 def _check_finite(stage: str, epoch: int, step: int, **losses: float):
@@ -341,16 +328,17 @@ class StageResult:
     grl_lambda: float | None
     model: DannModel
     log: list[LogRow] = field(repr=False, default_factory=list)
+    # a continual stage's model as fine-tuning began: pretrained extractor, fresh heads
+    start: DannModel | None = field(repr=False, default=None)
 
 
 def run_stage(stage: str, splits: CorpusSplit, cfg: TrainConfig, model_cfg: ModelConfig,
-              checkpoint_dir=None, pretrained: Pretrained | None = None) -> StageResult:
-    """Train one experiment row from a fresh, seed-determined model.
+              pretrained: Pretrained | None = None) -> StageResult:
+    """Train one experiment row from a fresh, seed-determined model; write nothing.
 
     A continual stage starts from a copy of ``pretrained``'s extractor, which
-    it requires (``pretrain``), and its log holds the pretraining's rows under
-    its own name; with a ``checkpoint_dir`` that start is saved as
-    ``<stage>_continual.ckpt``.
+    it requires (``pretrain``), its log holds the pretraining's rows under its
+    own name, and its result's ``start`` is the model fine-tuning began from.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
@@ -358,6 +346,7 @@ def run_stage(stage: str, splits: CorpusSplit, cfg: TrainConfig, model_cfg: Mode
         raise ConfigError("model and trainer disagree on domain_setting")
     model = DannModel(model_cfg, derive_seed(cfg.seed, 0))
     log: list[LogRow] = []
+    start = None
     if stage in CONTINUAL_STAGES:
         if pretrained is None:
             raise ConfigError(f"stage {stage!r} requires a pretrained extractor "
@@ -368,8 +357,7 @@ def run_stage(stage: str, splits: CorpusSplit, cfg: TrainConfig, model_cfg: Mode
         for p, value in zip(model.extractor.parameters(), pretrained.extractor):
             p.value[...] = value
         log += [replace(row, stage=stage) for row in pretrained.log]
-        if checkpoint_dir is not None:
-            model.save(checkpoint_dir / f"{stage}_continual.ckpt")
+        start = copy.deepcopy(model)
     if stage == "baseline" or stage == "continual_only":
         log += train_supervised(splits.S, model, cfg, stage)
     elif stage == "oracle":
@@ -377,5 +365,5 @@ def run_stage(stage: str, splits: CorpusSplit, cfg: TrainConfig, model_cfg: Mode
         log += train_supervised(data, model, cfg, stage)
     else:
         log += train_dat(splits, model, cfg, stage)
-    return StageResult(stage, *adversarial_settings(stage, cfg), model, log)
+    return StageResult(stage, *adversarial_settings(stage, cfg), model, log, start)
 

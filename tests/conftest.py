@@ -3,7 +3,7 @@ import wave
 import numpy as np
 import pytest
 
-from datforge.distort import build_splits, synth_corpus
+from datforge.distort import build_splits, synth_corpus, with_test_sets
 
 
 def finite_diff(f, x, eps=1e-6):
@@ -41,4 +41,4 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def small_splits(small_corpus):
     test = synth_corpus(3, 4, seed=12, id_prefix="test")
-    return build_splits(small_corpus, seed=5, test_corpus=test)
+    return with_test_sets(build_splits(small_corpus, seed=5), test, seed=5)

@@ -15,6 +15,8 @@ from datforge.errors import ConfigError
 from datforge.evalharness import ProbeConfig, domain_probe
 from datforge.models import load_checkpoint
 from datforge.pipeline import (
+    RUN_FILES,
+    RUN_MARKER,
     STAGE_KEYS,
     CorpusSpec,
     ExperimentManifest,
@@ -222,6 +224,8 @@ class TestManifestParsing:
          "corpus noise_wav_dir must be a path string or null, got 5"),
         ("corpus", {"noise_wav_dir": True},
          "corpus noise_wav_dir must be a path string or null, got True"),
+        ("corpus", {"noise_wav_dir": ""},
+         "corpus noise_wav_dir must be a path string or null, got ''"),
     ]
 
     @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
@@ -371,12 +375,21 @@ class TestRunCommand:
         (out / "RUN-INCOMPLETE").write_text("running\n")
         (out / "stale.txt").write_text("leftover")
         (out / "report.csv").write_text("stale report\n")
+        # no run writes a dat_only_continual.ckpt: dat_only pretrains nothing
+        (out / "dat_only_continual.ckpt").write_text("user's file")
         assert main(["run", "--manifest", str(manifest_path)]) == EXIT_OK
         # only what a run writes is removed; a file the run did not write survives
         assert (out / "stale.txt").read_text() == "leftover"
+        assert (out / "dat_only_continual.ckpt").read_text() == "user's file"
         lines = (out / "report.csv").read_text().splitlines()
         assert lines[0] == "stage,objective,lambda,clean_acc,seen_acc,unseen_acc"
         assert not (out / "RUN-INCOMPLETE").exists()
+
+    def test_run_files_are_the_names_a_run_writes(self, tmp_path):
+        manifest = ExperimentManifest.from_dict(dict(TINY_MANIFEST, stages=FIVE_STAGES))
+        run_experiment(manifest, tmp_path)
+        written = {p.name for p in tmp_path.iterdir()}
+        assert set(RUN_FILES) == written | {RUN_MARKER, "probe.json"}
 
     @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
     def test_silent_noise_wav_is_config_error_before_training(self, tmp_path, capsys, command):
@@ -752,6 +765,15 @@ def test_readme_stage_key_table_is_stage_keys():
         first = first or keys
         table.update(dict.fromkeys(stages, keys))
     assert table == {stage: list(keys) for stage, keys in STAGE_KEYS.items()}
+
+
+def test_readme_layout_block_is_the_package_modules():
+    lines = (REPO / "README.md").read_text().splitlines()
+    start = lines.index("src/datforge/") + 1
+    block = lines[start : lines.index("```", start)]
+    named = [m.group(1) for line in block for m in [re.match(r"  (\w+\.py) ", line)] if m]
+    modules = {p.name for p in (REPO / "src" / "datforge").glob("*.py")} - {"__init__.py"}
+    assert sorted(named) == sorted(modules)
 
 
 def test_readme_cli_block_parses_and_dry_runs(monkeypatch, capsys):

@@ -532,18 +532,22 @@ def test_shared_pretraining_matches_each_stage_alone(tmp_path, monkeypatch, jobs
         pretrained = None
         if spec.stage in trainer.CONTINUAL_STAGES:
             pretrained = trainer.pretrain(spec.config, data.continual_set, model_cfg, spec.stage)
-        res = run_stage(spec.stage, data.splits, spec.config, model_cfg, alone, pretrained)
+        res = run_stage(spec.stage, data.splits, spec.config, model_cfg, pretrained)
         res.model.save(alone / f"{spec.stage}.ckpt")
+        if res.start is not None:
+            res.start.save(alone / f"{spec.stage}_continual.ckpt")
         logs[spec.stage] = res.log
 
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: jobs)
     shared = tmp_path / "shared"
     shared.mkdir()
     data = build_experiment_data(manifest.corpus, manifest.splits_seed)  # nothing featurized
-    results = run_stages(manifest, data, checkpoint_dir=shared)
+    results = run_stages(manifest, data)
     assert [r.stage for r in results] == [s.stage for s in manifest.stages]
     for res in results:
         res.model.save(shared / f"{res.stage}.ckpt")
+        if res.start is not None:
+            res.start.save(shared / f"{res.stage}_continual.ckpt")
         assert res.log == logs[res.stage], res.stage
     names = sorted(p.name for p in alone.iterdir())
     assert names == sorted(p.name for p in shared.iterdir())

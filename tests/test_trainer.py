@@ -3,13 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from datforge.distort import build_continual_set, build_splits, synth_corpus
+from datforge.distort import build_continual_set, build_splits, synth_corpus, with_test_sets
 from datforge import distort, pipeline, trainer
 from datforge.errors import ConfigError, DatforgeError, PolicyError
 from datforge.gradcore import Optimizer, Tape
 from datforge.models import DannModel, ModelConfig
 from datforge.objectives import entropy_domain_loss, task_loss
-from datforge.pipeline import ExperimentManifest, SweepSpec, run_sweep
+from datforge.pipeline import ExperimentManifest, SweepSpec, run_sweep, write_training_log
 from datforge.trainer import (
     CONTINUAL_STAGES,
     DEFAULT_LAMBDA_GRID,
@@ -24,7 +24,6 @@ from datforge.trainer import (
     run_stage,
     train_dat,
     train_supervised,
-    write_training_log,
 )
 
 SMALL_MODEL = ModelConfig(input_dim=64, hidden_dim=16, feature_dim=8, n_classes=4, n_domains=3)
@@ -268,7 +267,8 @@ class TestSupervisedAndStages:
         cont = build_continual_set([c.waveform for c in small_corpus[:8]], seed=2)
         cfg = small_cfg(epochs=1)
         pre = pretrain(cfg, cont, SMALL_MODEL, "continual_only")
-        run_stage("continual_only", small_splits, cfg, SMALL_MODEL, tmp_path, pre)
+        res = run_stage("continual_only", small_splits, cfg, SMALL_MODEL, pre)
+        res.start.save(tmp_path / "continual_only_continual.ckpt")
         clone = DannModel(SMALL_MODEL, seed=0)
         clone.load(tmp_path / "continual_only_continual.ckpt")
         for p, value in zip(clone.extractor.parameters(), pre.extractor):
@@ -285,8 +285,8 @@ def nan_features(monkeypatch):
     real = distort.featurize
     monkeypatch.setattr(distort, "featurize", lambda w: np.full_like(real(w), np.nan))
     corpus = synth_corpus(10, 4, seed=11)
-    splits = build_splits(corpus, seed=5, test_corpus=synth_corpus(3, 4, seed=12,
-                                                                    id_prefix="test"))
+    splits = with_test_sets(build_splits(corpus, seed=5),
+                            synth_corpus(3, 4, seed=12, id_prefix="test"), seed=5)
     return splits, build_continual_set([c.waveform for c in corpus[:8]], seed=2)
 
 
