@@ -30,7 +30,8 @@ from .distort import (
     write_wav,
 )
 from .errors import ConfigError, DatforgeError, FormatError, require_count
-from .pipeline import ExperimentManifest, run_experiment, run_probe, run_sweep, usable_cpus
+from .pipeline import (ExperimentManifest, require_finished_run, run_experiment, run_probe,
+                       run_sweep, usable_cpus)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,18 +39,16 @@ EXIT_RUNTIME = 3
 DEFAULT_SNR_DB = 15.0  # what `distort` mixes additive kinds at when --snr is not given
 
 
-def _out_root() -> Path:
-    return Path(os.environ.get("DATFORGE_OUT", "."))
-
-
 def _resolve_out(manifest: ExperimentManifest) -> Path:
-    out = Path(manifest.output_dir)
-    return out if out.is_absolute() else _out_root() / out
+    # joining an absolute output_dir gives it back, so DATFORGE_OUT moves relative ones only
+    return Path(os.environ.get("DATFORGE_OUT", ".")) / manifest.output_dir
 
 
 def _load_manifest(args) -> ExperimentManifest:
     manifest = ExperimentManifest.from_file(args.manifest)
-    return manifest if args.seed is None else manifest.with_seed(args.seed)
+    manifest = manifest if args.seed is None else manifest.with_seed(args.seed)
+    manifest.corpus.noise_bank  # read once, so a bad noise WAV fails every command, dry runs too
+    return manifest
 
 
 def _print_plan(args, manifest: ExperimentManifest, out_dir: Path):
@@ -96,6 +95,7 @@ def _cmd_probe(args) -> int:
     manifest = _load_manifest(args)
     out_dir = _resolve_out(manifest)
     if args.dry_run:
+        require_finished_run(manifest, out_dir)
         _print_plan(args, manifest, out_dir)
         return EXIT_OK
     rows = run_probe(manifest, out_dir)

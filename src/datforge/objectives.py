@@ -17,6 +17,12 @@ from .gradcore import Node, Tape
 LOG_CLAMP = 1e-7
 
 
+def one_hot(indices: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros((indices.size, n))
+    out[np.arange(indices.size), indices] = 1.0
+    return out
+
+
 def _safe_log(tape: Tape, x: Node) -> Node:
     return tape.log(tape.clamp(x, LOG_CLAMP, np.inf))
 
@@ -69,7 +75,5 @@ def task_loss(tape: Tape, logits: Node, labels: np.ndarray) -> Node:
         raise DimensionError(f"task_loss: logits {logits.value.shape} vs labels {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= c):
         raise ConfigError(f"task_loss: label out of range [0, {c})")
-    onehot = np.zeros((b, c))
-    onehot[np.arange(b), labels] = 1.0
     logp = tape.log_softmax_rows(logits)
-    return tape.scale(tape.sum(tape.mul(tape.const(onehot), logp)), -1.0 / b)
+    return tape.scale(tape.sum(tape.mul(tape.const(one_hot(labels, c)), logp)), -1.0 / b)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import multiprocessing
 import os
@@ -89,6 +90,11 @@ class CorpusSpec:
         if self.classes * self.n_per_class < MIN_SPLIT_CLIPS:
             raise ConfigError(f"corpus has {self.classes * self.n_per_class} training clips "
                               f"(classes x n_per_class), fewer than {MIN_SPLIT_CLIPS}")
+
+    @functools.cached_property
+    def noise_bank(self) -> WavNoiseBank | None:
+        """The WAV noise bank, read on first use, or None for the procedural one."""
+        return None if self.noise_wav_dir is None else WavNoiseBank(self.noise_wav_dir)
 
     @classmethod
     def from_dict(cls, obj: dict, seed: int) -> "CorpusSpec":
@@ -252,42 +258,36 @@ class ExperimentData:
     classes: int  # the corpus's; the label head gets one output per class
 
 
-def _noise_bank(corpus: CorpusSpec) -> WavNoiseBank | None:
-    """The corpus's WAV noise bank, or None for the procedural one; a bad WAV raises here."""
-    return None if corpus.noise_wav_dir is None else WavNoiseBank(corpus.noise_wav_dir)
-
-
-def build_training_data(corpus: CorpusSpec, splits_seed: int, with_continual: bool,
-                        bank: WavNoiseBank | None) -> ExperimentData:
-    """S, T and the continual set: what training reads.  The splits' test sets are
-    empty; ``add_test_sets`` builds them."""
+def build_training_data(corpus: CorpusSpec, splits_seed: int,
+                        with_continual: bool) -> ExperimentData:
+    """S, T and the continual set: what training reads, distorted with ``corpus.noise_bank``.
+    The splits' test sets are empty; ``add_test_sets`` builds them."""
     # the training corpus is passed unnamed, so that T's clean sources, which the split
     # replaces with distorted copies, are freed before the continual set is built
     splits = build_splits(synth_corpus(corpus.n_per_class, corpus.classes, corpus.seed),
-                          splits_seed, noise_bank=bank)
+                          splits_seed, noise_bank=corpus.noise_bank)
     continual = []
     if with_continual:
         cont_corpus = synth_corpus(corpus.continual_n_per_class, corpus.classes,
                                    derive_seed(corpus.seed, 202), id_prefix="cont")
         continual = build_continual_set([c.waveform for c in cont_corpus],
-                                        derive_seed(splits_seed, 7), bank)
+                                        derive_seed(splits_seed, 7), corpus.noise_bank)
     return ExperimentData(splits, continual, corpus.classes)
 
 
-def add_test_sets(splits: CorpusSplit, corpus: CorpusSpec, splits_seed: int,
-                  bank: WavNoiseBank | None) -> CorpusSplit:
-    """``splits`` with the clean, seen-distortion and unseen-distortion test sets."""
+def add_test_sets(splits: CorpusSplit, corpus: CorpusSpec, splits_seed: int) -> CorpusSplit:
+    """``splits`` with the clean, seen-distortion and unseen-distortion test sets, the
+    distorted ones drawn from ``corpus.noise_bank``."""
     test = synth_corpus(corpus.test_n_per_class, corpus.classes,
                         derive_seed(corpus.seed, 101), id_prefix="test")
-    return with_test_sets(splits, test, splits_seed, bank)
+    return with_test_sets(splits, test, splits_seed, corpus.noise_bank)
 
 
 def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
                           with_continual: bool = True) -> ExperimentData:
     """Every split of the corpus: ``build_training_data``, then ``add_test_sets``."""
-    bank = _noise_bank(corpus)
-    data = build_training_data(corpus, splits_seed, with_continual, bank)
-    data.splits = add_test_sets(data.splits, corpus, splits_seed, bank)
+    data = build_training_data(corpus, splits_seed, with_continual)
+    data.splits = add_test_sets(data.splits, corpus, splits_seed)
     return data
 
 
@@ -410,10 +410,8 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
     The test sets are built after training, so the forked stage workers do not
     inherit them, and after the continual set, which only pretraining reads, is freed.
     """
-    # the noise bank is built first, so that a bad noise WAV leaves the output dir untouched
-    bank = _noise_bank(manifest.corpus)
     needs_continual = any(s.stage in CONTINUAL_STAGES for s in manifest.stages)
-    data = build_training_data(manifest.corpus, manifest.splits_seed, needs_continual, bank)
+    data = build_training_data(manifest.corpus, manifest.splits_seed, needs_continual)
 
     out_dir = Path(out_dir)
     marker = out_dir / RUN_MARKER
@@ -435,7 +433,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
 
     splits = data.splits
     del data  # the run's last reference to the continual set, freed before the test sets
-    splits = add_test_sets(splits, manifest.corpus, manifest.splits_seed, bank)
+    splits = add_test_sets(splits, manifest.corpus, manifest.splits_seed)
     write_manifest(out_dir / "corpus_manifest.jsonl", manifest_entries(splits))
 
     payload = manifest.to_dict()
@@ -503,27 +501,31 @@ def _write_sweep_csv(path, rows: list[dict]):
                              f"{r['unseen_acc']:.6f}"])
 
 
-def run_probe(manifest: ExperimentManifest, out_dir: Path) -> list[dict]:
-    """Probe each stage's checkpoint in the finished run of ``manifest`` in ``out_dir``."""
-    # S and T, all the probe reads, are built first, so that a bad noise WAV is reported
-    # before anything else
-    data = build_training_data(manifest.corpus, manifest.splits_seed, with_continual=False,
-                               bank=_noise_bank(manifest.corpus))
-    out_dir = Path(out_dir)
+def require_finished_run(manifest: ExperimentManifest, out_dir: Path):
+    """Raise ``ConfigError`` unless ``out_dir`` holds a finished run of ``manifest``: no
+    ``RUN-INCOMPLETE`` marker, its ``manifest.json`` and every ``<stage>.ckpt``."""
     try:
         recorded = json.loads((out_dir / "manifest.json").read_text())
     except (OSError, ValueError):  # absent or corrupt: not a finished run
         recorded = None
     if (out_dir / RUN_MARKER).exists() or recorded != manifest.to_dict():
         raise ConfigError(f"{out_dir} holds no finished run of this manifest; run it first")
-    probe_cfg = ProbeConfig(seed=manifest.seed)
-    rows = []
     for spec in manifest.stages:
         path = out_dir / f"{spec.stage}.ckpt"
         if not path.is_file():
             raise ConfigError(f"checkpoint {path} of the finished run is missing")
+
+
+def run_probe(manifest: ExperimentManifest, out_dir: Path) -> list[dict]:
+    """Probe each stage's checkpoint in the finished run of ``manifest`` in ``out_dir``."""
+    out_dir = Path(out_dir)
+    require_finished_run(manifest, out_dir)
+    data = build_training_data(manifest.corpus, manifest.splits_seed, with_continual=False)
+    probe_cfg = ProbeConfig(seed=manifest.seed)
+    rows = []
+    for spec in manifest.stages:
         model = DannModel(_model_cfg(spec.config, data), 0)
-        model.load(path)
+        model.load(out_dir / f"{spec.stage}.ckpt")
         probe = domain_probe(model, data.splits, probe_cfg)
         objective, lam = adversarial_settings(spec.stage, spec.config)
         rows.append({"stage": spec.stage, "objective": objective, "lambda": lam,

@@ -115,12 +115,6 @@ def domain_indices(clips: list[Clip], setting: str) -> np.ndarray:
     return (doms > 0).astype(np.int64) if setting == "binary" else doms
 
 
-def _one_hot(indices: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((indices.size, n))
-    out[np.arange(indices.size), indices] = 1.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # adversarial step
 # ---------------------------------------------------------------------------
@@ -137,7 +131,7 @@ def build_domain_loss(tape: Tape, model: DannModel, pooled, domains: np.ndarray,
     head = model.domain_head
     if cfg.objective == "entropy":
         head_logits = head.forward_pooled(tape, tape.stop_gradient(pooled))
-        onehot = _one_hot(domains, model.cfg.domain_out_dim)
+        onehot = objectives.one_hot(domains, model.cfg.domain_out_dim)
         ce_loss = objectives.ce_domain_loss(tape, tape.softmax_rows(head_logits), onehot)
         if not adversarial:
             return ce_loss
@@ -151,7 +145,7 @@ def build_domain_loss(tape: Tape, model: DannModel, pooled, domains: np.ndarray,
     logits = head.forward_pooled(tape, pooled)
     if cfg.objective == "bce":
         return objectives.bce_domain_loss(tape, tape.sigmoid(logits), domains.astype(float))
-    onehot = _one_hot(domains, model.cfg.domain_out_dim)
+    onehot = objectives.one_hot(domains, model.cfg.domain_out_dim)
     return objectives.ce_domain_loss(tape, tape.softmax_rows(logits), onehot)
 
 

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datforge.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _load_manifest, build_parser, main
+from datforge.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    _load_manifest,
+    _resolve_out,
+    build_parser,
+    main,
+)
 from datforge.distort import KIND_TO_DOMAIN, Waveform, read_wav, synth_corpus, write_wav
 from datforge.errors import ConfigError
 from datforge.evalharness import ProbeConfig, domain_probe
@@ -68,6 +76,17 @@ def _write_manifest(tmp_path, **changes) -> Path:
 def _truncate(path: Path, cut: int):
     """Drop the last ``cut`` bytes of a file, as an interrupted copy would."""
     path.write_bytes(path.read_bytes()[:-cut])
+
+
+def _noise_dir(tmp_path) -> Path:
+    """``tmp_path/noise`` with six noise WAVs: the name hash puts n0-n2 and n4 in the
+    "train" pool, n3 and n5 in "unseen"."""
+    noise = tmp_path / "noise"
+    noise.mkdir()
+    rng = np.random.default_rng(0)
+    for i in range(6):
+        write_wav(noise / f"n{i}.wav", Waveform(0.1 * rng.standard_normal(1600)))
+    return noise
 
 
 def _files(root: Path) -> dict:
@@ -392,36 +411,46 @@ class TestRunCommand:
         assert set(RUN_FILES) == written | {RUN_MARKER, "probe.json"}
 
     @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
-    def test_silent_noise_wav_is_config_error_before_training(self, tmp_path, capsys, command):
-        noise = tmp_path / "noise"
-        noise.mkdir()
-        rng = np.random.default_rng(0)
-        for i in range(6):
-            write_wav(noise / f"n{i}.wav", Waveform(0.1 * rng.standard_normal(1600)))
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    def test_silent_noise_wav_is_config_error_before_training(self, tmp_path, capsys, command,
+                                                              dry_run):
+        noise = _noise_dir(tmp_path)
         write_wav(noise / "silent.wav", Waveform(np.zeros(1600)))
         payload = dict(TINY_MANIFEST, output_dir=str(tmp_path / "out"))
         payload["corpus"] = dict(TINY_MANIFEST["corpus"], noise_wav_dir=str(noise))
         path = tmp_path / "m.json"
         path.write_text(json.dumps(payload))
-        assert main([command, "--manifest", str(path)]) == EXIT_CONFIG
+        assert main([command, "--manifest", str(path), *dry_run]) == EXIT_CONFIG
         assert "silent.wav" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
     @pytest.mark.parametrize("cut", [1, 200], ids=["mid-sample", "frame-boundary"])
     def test_truncated_noise_wav_is_config_error_before_training(self, tmp_path, capsys,
-                                                                 command, cut):
-        noise = tmp_path / "noise"
-        noise.mkdir()
-        rng = np.random.default_rng(0)
-        for i in range(6):
-            write_wav(noise / f"n{i}.wav", Waveform(0.1 * rng.standard_normal(1600)))
+                                                                 command, dry_run, cut):
+        noise = _noise_dir(tmp_path)
         _truncate(noise / "n3.wav", cut)
         path = _write_manifest(tmp_path, corpus=dict(TINY_MANIFEST["corpus"],
                                                      noise_wav_dir=str(noise)))
-        assert main([command, "--manifest", str(path)]) == EXIT_CONFIG
+        assert main([command, "--manifest", str(path), *dry_run]) == EXIT_CONFIG
         assert "noise WAV unusable" in (err := capsys.readouterr().err) and "n3.wav" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    @pytest.mark.parametrize("state", ["missing", "empty"])
+    def test_noise_dir_without_wavs_is_config_error_before_training(self, tmp_path, capsys,
+                                                                    command, dry_run, state):
+        noise = tmp_path / "noise"
+        if state == "empty":
+            noise.mkdir()
+        path = _write_manifest(tmp_path, corpus=dict(TINY_MANIFEST["corpus"],
+                                                     noise_wav_dir=str(noise)))
+        assert main([command, "--manifest", str(path), *dry_run]) == EXIT_CONFIG
+        assert f"no WAV files in noise directory {noise}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert noise.exists() == (state == "empty")
 
     def test_non_finite_loss_exit_code(self, manifest_path, monkeypatch, capsys):
         from datforge import distort
@@ -431,6 +460,58 @@ class TestRunCommand:
         assert main(["run", "--manifest", str(manifest_path)]) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "stage 'baseline': non-finite L_y (nan) at epoch 0, step 0" in err
+
+
+def test_wav_noise_bank_is_read_once_by_each_command(tmp_path, monkeypatch, capsys):
+    from datforge import distort, pipeline
+
+    noise = _noise_dir(tmp_path)
+    path = _write_manifest(tmp_path, corpus=dict(TINY_MANIFEST["corpus"],
+                                                 noise_wav_dir=str(noise)))
+    built, draws, kept, synthesized = [], [], [], []
+    real_init, real_draw = distort.WavNoiseBank.__init__, distort.WavNoiseBank.draw
+    real_build, real_synth = pipeline.build_training_data, pipeline.synth_corpus
+
+    def counting(self, noise_dir):
+        built.append(noise_dir)
+        real_init(self, noise_dir)
+
+    def recording(self, pool, n, seed):
+        draws.append((pool, seed))
+        return real_draw(self, pool, n, seed)
+
+    def no_procedural_noise(*args):
+        raise AssertionError("drew procedural noise with a noise directory set")
+
+    def keeping(*args, **kwargs):
+        kept.append(real_build(*args, **kwargs))
+        return kept[-1]
+
+    def synth(*args, **kwargs):
+        synthesized.append(args)
+        return real_synth(*args, **kwargs)
+
+    monkeypatch.setattr(distort.WavNoiseBank, "__init__", counting)
+    monkeypatch.setattr(distort.WavNoiseBank, "draw", recording)
+    monkeypatch.setattr(distort.ProceduralNoiseBank, "draw", no_procedural_noise)
+    monkeypatch.setattr(pipeline, "build_training_data", keeping)
+    monkeypatch.setattr(pipeline, "synth_corpus", synth)
+    seed = ["--seed", "2"]
+    for command, *rest in (["run", *seed], ["probe", *seed], ["sweep"], ["run", "--dry-run"],
+                           ["probe", *seed, "--dry-run"], ["sweep", "--dry-run"]):
+        built.clear()
+        assert main([command, "--manifest", str(path), *rest]) == EXIT_OK, [command, *rest]
+        assert built == [str(noise)], [command, *rest]
+        if [command, *rest] == ["run", *seed]:
+            # T's additive clips, distorted in order first, drew their noise from the WAVs
+            t_seeds = [c.spec.seed for c in kept[0].splits.T if c.kind == "additive_bank"]
+            assert t_seeds and draws[:len(t_seeds)] == [("train", s) for s in t_seeds]
+    built.clear()
+    synthesized.clear()
+    # the finished run is seed 2's, so a probe at the manifest's seed 1 is refused
+    assert main(["probe", "--manifest", str(path)]) == EXIT_CONFIG
+    assert "holds no finished run" in capsys.readouterr().err
+    assert built == [str(noise)] and synthesized == []
 
 
 class TestDeterminism:
@@ -597,9 +678,11 @@ class TestProbeCommand:
         assert main(["probe", *args]) == EXIT_OK
         assert len(json.loads((tmp_path / "out" / "probe.json").read_text())) == 5
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
     @pytest.mark.parametrize("state", ["absent", "empty", "marker", "other seed",
                                        "corrupt manifest", "missing checkpoint"])
-    def test_no_finished_run_is_config_error(self, manifest_path, tmp_path, capsys, state):
+    def test_no_finished_run_is_config_error(self, manifest_path, tmp_path, capsys, state,
+                                             dry_run):
         out = tmp_path / "out"
         if state == "empty":
             out.mkdir()
@@ -614,7 +697,7 @@ class TestProbeCommand:
             (out / "dat_only.ckpt").unlink()
         before = _files(out) if out.exists() else None
         capsys.readouterr()
-        assert main(["probe", "--manifest", str(manifest_path)]) == EXIT_CONFIG
+        assert main(["probe", "--manifest", str(manifest_path), *dry_run]) == EXIT_CONFIG
         expected = (f"checkpoint {out / 'dat_only.ckpt'} of the finished run is missing"
                     if state == "missing checkpoint" else f"{out} holds no finished run")
         assert expected in capsys.readouterr().err
@@ -625,15 +708,20 @@ class TestProbeCommand:
                                                            capsys, monkeypatch):
         from datforge import pipeline
 
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest_path)]) == EXIT_OK  # the run it checks
+        before = _files(out)
+
         def no_training(*args, **kwargs):
             raise AssertionError("probe --dry-run trained a stage")
 
         monkeypatch.setattr(pipeline, "run_stage", no_training)
+        capsys.readouterr()
         assert main(["run", "--manifest", str(manifest_path), "--dry-run"]) == EXIT_OK
         run_plan = capsys.readouterr().out
         assert main(["probe", "--manifest", str(manifest_path), "--dry-run"]) == EXIT_OK
         assert capsys.readouterr().out == run_plan
-        assert not (tmp_path / "out").exists()
+        assert _files(out) == before  # neither dry run wrote, removed or changed a file
 
 
 class TestDistortCommand:
@@ -739,6 +827,13 @@ def test_datforge_out_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "rel-out" / "report.csv").is_file()
 
 
+def test_datforge_out_leaves_an_absolute_output_dir_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DATFORGE_OUT", str(tmp_path / "root"))
+    path = _write_manifest(tmp_path)
+    assert main(["run", "--manifest", str(path), "--dry-run"]) == EXIT_OK
+    assert f"output_dir: {tmp_path / 'out'}" in capsys.readouterr().out.splitlines()
+
+
 def _readme_commands() -> list[list[str]]:
     """Every ``datforge ...`` line of the README's ``sh`` blocks, split as a shell would."""
     commands, in_sh = [], False
@@ -776,13 +871,14 @@ def test_readme_layout_block_is_the_package_modules():
     assert sorted(named) == sorted(modules)
 
 
-def test_readme_cli_block_parses_and_dry_runs(monkeypatch, capsys):
+def test_readme_cli_block_parses_and_dry_runs(monkeypatch, capsys, tmp_path):
     commands = _readme_commands()
     assert {c[0] for c in commands} == {"run", "sweep", "probe", "distort"}
     monkeypatch.chdir(REPO)
+    monkeypatch.setenv("DATFORGE_OUT", str(tmp_path))
     finished = set()  # the manifests a documented `run` has finished before this line
     for argv in commands:
-        build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         if "--manifest" not in argv:
             continue
         manifest = argv[argv.index("--manifest") + 1]
@@ -790,6 +886,14 @@ def test_readme_cli_block_parses_and_dry_runs(monkeypatch, capsys):
             assert manifest in finished, f"README probes {manifest} before running it"
         elif argv[0] == "run" and "--dry-run" not in argv:
             finished.add(manifest)
+            # what the finished run leaves for `probe --dry-run` to check: its manifest.json
+            # and a file of each stage checkpoint's name, which a dry run does not read
+            m = _load_manifest(args)
+            out = _resolve_out(m)
+            out.mkdir(parents=True)
+            (out / "manifest.json").write_text(json.dumps(m.to_dict()))
+            for spec in m.stages:
+                (out / f"{spec.stage}.ckpt").touch()
         dry = argv if "--dry-run" in argv else [*argv, "--dry-run"]
         assert main(dry) == EXIT_OK, argv
     capsys.readouterr()

@@ -735,9 +735,9 @@ def test_run_data_parts_compose_to_the_experiment_data(classes, n_per_class):
     corpus = pipeline.CorpusSpec(classes=classes, n_per_class=n_per_class, test_n_per_class=2,
                                  continual_n_per_class=2, seed=3)
     whole = build_experiment_data(corpus, 7)
-    data = pipeline.build_training_data(corpus, 7, True, None)
+    data = pipeline.build_training_data(corpus, 7, True)
     assert data.splits.test_clean == data.splits.test_seen == data.splits.test_unseen == []
-    splits = pipeline.add_test_sets(data.splits, corpus, 7, None)
+    splits = pipeline.add_test_sets(data.splits, corpus, 7)
 
     def clips(part):
         return [(c.clip_id, c.label, c.spec, c.waveform.samples.tobytes(), c.waveform.gain_applied,
