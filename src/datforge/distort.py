@@ -70,6 +70,12 @@ class Waveform:
             self._features = feats
         return self._features
 
+    def release(self):
+        """Keep ``features`` and free the samples; any later read of them (``featurize``,
+        ``power``, a mix) raises ``AttributeError``.  Releasing twice does nothing more."""
+        self.features
+        self.__dict__.pop("samples", None)
+
 
 def _peak_normalize(samples: np.ndarray) -> Waveform:
     peak = np.max(np.abs(samples))

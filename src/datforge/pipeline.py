@@ -291,6 +291,16 @@ def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
     return data
 
 
+def _keep_features(data: ExperimentData):
+    """Featurize every clip of ``data`` and free its samples one clip at a time, so the
+    features reuse the memory the samples left; a function, so no loop variable outlives it."""
+    sp = data.splits
+    for clip in (*sp.S, *sp.T, *sp.test_clean, *sp.test_seen, *sp.test_unseen, *data.continual_set):
+        clip.waveform.release()
+        if clip.clean is not None:
+            clip.clean.release()
+
+
 # ---------------------------------------------------------------------------
 # parallel map
 # ---------------------------------------------------------------------------
@@ -407,11 +417,13 @@ def write_training_log(path, rows: list[LogRow]):
 def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport:
     """Full pipeline: corpus -> stages -> checkpoints and report files under ``out_dir``.
 
-    The test sets are built after training, so the forked stage workers do not
+    The training clips keep their features and free their samples before the stage
+    workers fork.  The test sets are built after training, so the workers do not
     inherit them, and after the continual set, which only pretraining reads, is freed.
     """
     needs_continual = any(s.stage in CONTINUAL_STAGES for s in manifest.stages)
     data = build_training_data(manifest.corpus, manifest.splits_seed, needs_continual)
+    _keep_features(data)  # its test sets are still empty
 
     out_dir = Path(out_dir)
     marker = out_dir / RUN_MARKER
@@ -467,7 +479,8 @@ def run_sweep(manifest: ExperimentManifest, out_dir: Path, jobs: int = 1) -> lis
     Cells run through ``parallel_map``; ``_sweep_cell`` is looked up when the
     sweep starts, so a wrapper installed around it runs in the workers.  A
     continual stage pretrains once, before the map, since lambda is not one
-    of ``PRETRAIN_FIELDS``; every cell trains from a copy of that extractor.
+    of ``PRETRAIN_FIELDS``; every cell trains from a copy of that extractor.  Every
+    clip keeps its features and frees its samples first, so no cell featurizes.
     """
     if manifest.sweep is None:
         raise ConfigError("manifest has no 'sweep' section")
@@ -477,6 +490,7 @@ def run_sweep(manifest: ExperimentManifest, out_dir: Path, jobs: int = 1) -> lis
     cfg = replace(entry.config, objective=sweep.objective)
     needs_continual = sweep.stage in CONTINUAL_STAGES
     data = build_experiment_data(manifest.corpus, manifest.splits_seed, needs_continual)
+    _keep_features(data)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pretrained = None

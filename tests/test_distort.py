@@ -418,6 +418,21 @@ class TestFeaturize:
         assert featurize(w) is not first and first.flags.writeable
         assert w._features is None  # featurize does not fill the clip's copy
 
+    def test_released_waveform_keeps_its_features_and_refuses_its_samples(self, tmp_path):
+        w = synth_corpus(1, 2, seed=20)[0].waveform
+        feats = featurize(w)
+        w.release()
+        w.release()  # a continual clean clip is both its input and its target
+        assert w.features.tobytes() == feats.tobytes() and not w.features.flags.writeable
+        noise = np.ones(feats.shape[0])
+        for read in (lambda: featurize(w), w.power, lambda: mix_at_snr(w, noise, 10.0),
+                     lambda: add_gaussian(w, 10.0, seed=0),
+                     lambda: apply_reverb(w, np.array([1.0])),
+                     lambda: write_wav(tmp_path / "clip.wav", w)):
+            with pytest.raises(AttributeError, match="samples"):
+                read()
+        assert not list(tmp_path.iterdir())
+
 
 class TestWavIO:
     def test_round_trip_within_quantization(self, tmp_path):

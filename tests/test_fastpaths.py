@@ -37,6 +37,7 @@ from datforge.evalharness import (
     ProbeConfig,
     build_report,
     domain_probe,
+    write_report_csv,
 )
 from datforge.gradcore import Optimizer, Parameter, Tape
 from datforge.models import DannModel, Head, ModelConfig, load_checkpoint
@@ -621,8 +622,27 @@ def test_continual_sweep_matches_each_cell_alone(tmp_path, jobs):
         (tmp_path / "alone.csv").read_bytes()
 
 
-def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)  # count in this process
+def _featurize_logging(monkeypatch, log: Path):
+    """Make ``distort.featurize`` append ``<pid> <id of the waveform>`` to ``log`` before each
+    call: a line per call, whichever process makes it."""
+    real = distort.featurize
+
+    def logging(w, *args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {id(w)}\n")
+        return real(w, *args)
+
+    monkeypatch.setattr(distort, "featurize", logging)
+
+
+def _featurize_calls(log: Path) -> list[tuple[int, int]]:
+    """(pid, waveform id) of each logged ``featurize`` call, in call order."""
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=forks)], ids=["in-process", "forked"])
+def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
     built, tested = [], []  # the run's training data and its splits with the test sets
     real_build, real_add = pipeline.build_training_data, pipeline.add_test_sets
 
@@ -634,23 +654,101 @@ def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch):
         tested.append(real_add(*args, **kwargs))
         return tested[-1]
 
-    calls = []
-    real = distort.featurize
-
-    def counting(w, *args):
-        calls.append(id(w))
-        return real(w, *args)
-
     monkeypatch.setattr(pipeline, "build_training_data", keeping)
     monkeypatch.setattr(pipeline, "add_test_sets", keeping_tests)
-    monkeypatch.setattr(distort, "featurize", counting)
+    _featurize_logging(monkeypatch, tmp_path / "featurize.log")
     run_experiment(tiny_standard(), tmp_path / "out")
     (data,), (sp,) = built, tested  # kept alive, so no two of their waveforms share an id
     waves = {id(c.waveform) for part in (sp.S, sp.T, sp.test_clean, sp.test_seen, sp.test_unseen)
              for c in part}
     waves |= {id(w) for c in data.continual_set for w in (c.waveform, c.clean)}
-    assert len(calls) == len(set(calls)) == len(waves)
-    assert set(calls) == waves
+    calls = _featurize_calls(tmp_path / "featurize.log")
+    assert {pid for pid, _ in calls} == {os.getpid()}  # once per run, in the parent
+    ids = [w for _, w in calls]
+    assert len(ids) == len(set(ids)) == len(waves)
+    assert set(ids) == waves
+
+
+# ---------------------------------------------------------------------------
+# forked workers inherit features, not samples
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, workers", [
+    ("run", 1), pytest.param("run", 2, marks=forks),
+    ("sweep", 1), pytest.param("sweep", 2, marks=forks)])
+def test_workers_inherit_no_samples(tmp_path, monkeypatch, command, workers):
+    samples = []  # weakrefs to the samples of every clip built, and of each continual clean input
+    alive_at_map = []
+    real_build, real_add, real_map = (pipeline.build_training_data, pipeline.add_test_sets,
+                                      pipeline.parallel_map)
+
+    def keep_refs(clips):
+        samples.extend(weakref.ref(w.samples) for c in clips for w in (c.waveform, c.clean)
+                       if w is not None)
+
+    def building(*args, **kwargs):
+        data = real_build(*args, **kwargs)
+        keep_refs(data.splits.S + data.splits.T + data.continual_set)
+        return data
+
+    def adding(*args, **kwargs):
+        splits = real_add(*args, **kwargs)
+        keep_refs(splits.test_clean + splits.test_seen + splits.test_unseen)
+        return splits
+
+    def mapping(*args, **kwargs):
+        alive_at_map.append(sum(r() is not None for r in samples))
+        return real_map(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_training_data", building)
+    monkeypatch.setattr(pipeline, "add_test_sets", adding)
+    monkeypatch.setattr(pipeline, "parallel_map", mapping)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: workers)
+    _featurize_logging(monkeypatch, tmp_path / "featurize.log")
+    if command == "run":
+        manifest = tiny_standard()
+        run_experiment(manifest, tmp_path / "out")
+    else:
+        manifest = ExperimentManifest.from_dict(dict(CONTINUAL_SWEEP))
+        run_sweep(manifest, tmp_path / "out", jobs=workers)
+    c = manifest.corpus
+    # S and T, each continual clip's input and clean target, and all three test sets
+    assert len(samples) == c.classes * (c.n_per_class + 2 * c.continual_n_per_class
+                                        + 3 * c.test_n_per_class)
+    assert alive_at_map == [0]  # every sample built so far is freed before the map starts
+    assert {pid for pid, _ in _featurize_calls(tmp_path / "featurize.log")} == {os.getpid()}
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=forks)], ids=["in-process", "forked"])
+def test_run_matches_the_reference_path(tmp_path, monkeypatch, cpus):
+    """``run``'s files equal ``pretrain`` + ``run_stage`` + ``build_report`` on fresh data whose
+    clips carry their samples, each stage trained and pretrained alone."""
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+    manifest = tiny_standard()
+    run_experiment(manifest, tmp_path / "run")
+
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    data = build_experiment_data(manifest.corpus, manifest.splits_seed)
+    results = []
+    for spec in manifest.stages:
+        model_cfg = ModelConfig(n_classes=data.classes, domain_setting=spec.config.domain_setting)
+        pretrained = None
+        if spec.stage in trainer.CONTINUAL_STAGES:
+            pretrained = trainer.pretrain(spec.config, data.continual_set, model_cfg, spec.stage)
+        results.append(run_stage(spec.stage, data.splits, spec.config, model_cfg, pretrained))
+    for res in results:
+        res.model.save(ref / f"{res.stage}.ckpt")
+        if res.start is not None:
+            res.start.save(ref / f"{res.stage}_continual.ckpt")
+    pipeline.write_training_log(ref / "training_log.csv", [row for r in results for row in r.log])
+    write_report_csv(ref / "report.csv", build_report(results, data.splits))
+    distort.write_manifest(ref / "corpus_manifest.jsonl", distort.manifest_entries(data.splits))
+
+    names = sorted(p.name for p in ref.iterdir())
+    assert len(names) == 3 + 5 + 2  # three files, a checkpoint per stage, two start models
+    for name in names:
+        assert (tmp_path / "run" / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
