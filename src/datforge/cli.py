@@ -31,7 +31,7 @@ from .distort import (
 )
 from .errors import ConfigError, DatforgeError, FormatError, require_count
 from .pipeline import (ExperimentManifest, require_finished_run, run_experiment, run_probe,
-                       run_sweep, usable_cpus)
+                       run_sweep, sweep_plan, usable_cpus)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,11 +77,8 @@ def _cmd_sweep(args) -> int:
     manifest = _load_manifest(args)
     out_dir = _resolve_out(manifest)
     if args.dry_run:
-        sweep = manifest.sweep
-        if sweep is None:
-            raise ConfigError("manifest has no 'sweep' section")
-        print(f"sweep stage={sweep.stage} objective={sweep.objective} "
-              f"lambdas={sorted(sweep.lambdas, reverse=True)}")
+        sweep, lams = sweep_plan(manifest)
+        print(f"sweep stage={sweep.stage} objective={sweep.objective} lambdas={lams}")
         return EXIT_OK
     rows = run_sweep(manifest, out_dir, jobs=usable_cpus())
     for r in rows:

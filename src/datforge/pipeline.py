@@ -285,17 +285,16 @@ def add_test_sets(splits: CorpusSplit, corpus: CorpusSpec, splits_seed: int) -> 
 
 def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
                           with_continual: bool = True) -> ExperimentData:
-    """Every split of the corpus: ``build_training_data``, then ``add_test_sets``."""
+    """``build_training_data`` then ``add_test_sets``; only the tests and perfbench call it."""
     data = build_training_data(corpus, splits_seed, with_continual)
     data.splits = add_test_sets(data.splits, corpus, splits_seed)
     return data
 
 
-def _keep_features(data: ExperimentData):
-    """Featurize every clip of ``data`` and free its samples one clip at a time, so the
-    features reuse the memory the samples left; a function, so no loop variable outlives it."""
-    sp = data.splits
-    for clip in (*sp.S, *sp.T, *sp.test_clean, *sp.test_seen, *sp.test_unseen, *data.continual_set):
+def _keep_features(clips: list):
+    """Featurize each clip and free its samples, one clip at a time, so the features reuse
+    the memory the samples left; a function, so no loop variable outlives it."""
+    for clip in clips:
         clip.waveform.release()
         if clip.clean is not None:
             clip.clean.release()
@@ -417,13 +416,14 @@ def write_training_log(path, rows: list[LogRow]):
 def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport:
     """Full pipeline: corpus -> stages -> checkpoints and report files under ``out_dir``.
 
-    The training clips keep their features and free their samples before the stage
-    workers fork.  The test sets are built after training, so the workers do not
-    inherit them, and after the continual set, which only pretraining reads, is freed.
+    Every clip keeps its features and frees its samples right after it is built: the
+    training clips before the stage workers fork, the test sets before evaluation.  The
+    test sets are built after training, so the workers do not inherit them, and after
+    the continual set, which only pretraining reads, is freed.
     """
     needs_continual = any(s.stage in CONTINUAL_STAGES for s in manifest.stages)
     data = build_training_data(manifest.corpus, manifest.splits_seed, needs_continual)
-    _keep_features(data)  # its test sets are still empty
+    _keep_features(data.splits.S + data.splits.T + data.continual_set)
 
     out_dir = Path(out_dir)
     marker = out_dir / RUN_MARKER
@@ -446,6 +446,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
     splits = data.splits
     del data  # the run's last reference to the continual set, freed before the test sets
     splits = add_test_sets(splits, manifest.corpus, manifest.splits_seed)
+    _keep_features(splits.test_clean + splits.test_seen + splits.test_unseen)
     write_manifest(out_dir / "corpus_manifest.jsonl", manifest_entries(splits))
 
     payload = manifest.to_dict()
@@ -464,44 +465,46 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_cell(args):
-    data, cfg, lam, stage, pretrained = args
-    cfg = replace(cfg, grl_lambda=lam)
-    result = run_stage(stage, data.splits, cfg, _model_cfg(cfg, data), pretrained)
-    report = build_report([result], data.splits)
-    row = report.rows[0]
-    return lam, (row.clean_acc, row.seen_acc, row.unseen_acc)
+def sweep_plan(manifest: ExperimentManifest) -> tuple[SweepSpec, list[float]]:
+    """The manifest's sweep and its lambdas in the order the cells run, largest first."""
+    if manifest.sweep is None:
+        raise ConfigError("manifest has no 'sweep' section")
+    return manifest.sweep, sorted(manifest.sweep.lambdas, reverse=True)
+
+
+def _sweep_cell(args) -> StageResult:
+    return run_stage(*args)
 
 
 def run_sweep(manifest: ExperimentManifest, out_dir: Path, jobs: int = 1) -> list[dict]:
     """Train the sweep's stage once per lambda, from the manifest's entry for that stage.
 
-    Cells run through ``parallel_map``; ``_sweep_cell`` is looked up when the
-    sweep starts, so a wrapper installed around it runs in the workers.  A
-    continual stage pretrains once, before the map, since lambda is not one
-    of ``PRETRAIN_FIELDS``; every cell trains from a copy of that extractor.  Every
-    clip keeps its features and frees its samples first, so no cell featurizes.
+    The data lifecycle is ``run_experiment``'s.  A continual stage pretrains once, before
+    the cells, since lambda is not one of ``PRETRAIN_FIELDS``.  ``_sweep_cell`` is looked
+    up when the ``parallel_map`` starts, so a wrapper installed around it runs in the
+    workers.  Each cell hands back its ``StageResult``, and this process evaluates them.
     """
-    if manifest.sweep is None:
-        raise ConfigError("manifest has no 'sweep' section")
-    sweep = manifest.sweep
+    sweep, lams = sweep_plan(manifest)
     entry = next(s for s in manifest.stages if s.stage == sweep.stage)
-    lams = sorted(sweep.lambdas, reverse=True)
     cfg = replace(entry.config, objective=sweep.objective)
     needs_continual = sweep.stage in CONTINUAL_STAGES
-    data = build_experiment_data(manifest.corpus, manifest.splits_seed, needs_continual)
-    _keep_features(data)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pretrained = None
-    if needs_continual:
-        pretrained = pretrain(cfg, data.continual_set, _model_cfg(cfg, data), sweep.stage)
-    cells = [(data, cfg, lam, sweep.stage, pretrained) for lam in lams]
-    rows = []
-    for lam, (clean, seen, unseen) in parallel_map(_sweep_cell, cells, jobs):
-        rows.append({"lambda": lam, "reported": lam in REPORTED_LAMBDAS,
-                     "clean_acc": clean, "seen_acc": seen, "unseen_acc": unseen})
-    _write_sweep_csv(out_dir / "sweep_report.csv", rows)
+    data = build_training_data(manifest.corpus, manifest.splits_seed, needs_continual)
+    _keep_features(data.splits.S + data.splits.T + data.continual_set)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    model_cfg = _model_cfg(cfg, data)
+    pretrained = (pretrain(cfg, data.continual_set, model_cfg, sweep.stage)
+                  if needs_continual else None)
+    splits = data.splits
+    del data  # the sweep's last reference to the continual set, freed before the cells
+    cells = [(sweep.stage, splits, replace(cfg, grl_lambda=lam), model_cfg, pretrained)
+             for lam in lams]
+    results = parallel_map(_sweep_cell, cells, jobs)
+    splits = add_test_sets(splits, manifest.corpus, manifest.splits_seed)
+    _keep_features(splits.test_clean + splits.test_seen + splits.test_unseen)
+    rows = [{"lambda": r.grl_lambda, "reported": r.grl_lambda in REPORTED_LAMBDAS,
+             "clean_acc": r.clean_acc, "seen_acc": r.seen_acc, "unseen_acc": r.unseen_acc}
+            for r in build_report(results, splits).rows]
+    _write_sweep_csv(Path(out_dir) / "sweep_report.csv", rows)
     return rows
 
 

@@ -544,12 +544,26 @@ class TestSweepCommand:
         assert [r[0] for r in rows] == ["0.1", "0.01"]  # descending lambda
         assert [r[1] for r in rows] == ["false", "true"]  # 1e-2 is a reported slot
 
-    def test_sweep_without_section_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    def test_sweep_without_section_is_config_error(self, tmp_path, capsys, dry_run):
         payload = {k: v for k, v in TINY_MANIFEST.items() if k != "sweep"}
         payload["output_dir"] = str(tmp_path / "out")
         path = tmp_path / "m.json"
         path.write_text(json.dumps(payload))
-        assert main(["sweep", "--manifest", str(path)]) == EXIT_CONFIG
+        assert main(["sweep", "--manifest", str(path), *dry_run]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: manifest has no 'sweep' section\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_dry_run_lists_the_lambdas_in_the_order_the_cells_train(self, tmp_path, capsys):
+        payload = dict(TINY_MANIFEST, output_dir=str(tmp_path / "out"),
+                       sweep={"lambdas": [1e-2, 1e-1], "stage": "dat_only", "objective": "bce"})
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert main(["sweep", "--manifest", str(path), "--dry-run"]) == EXIT_OK
+        assert capsys.readouterr().out == "sweep stage=dat_only objective=bce lambdas=[0.1, 0.01]\n"
+        assert not (tmp_path / "out").exists()
+        rows = run_sweep(ExperimentManifest.from_file(path), tmp_path / "out")
+        assert [r["lambda"] for r in rows] == [0.1, 0.01]
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         manifest = ExperimentManifest.from_dict(dict(TINY_MANIFEST))

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from datforge import distort, pipeline, runtime, trainer
+from datforge import distort, evalharness, pipeline, runtime, trainer
 from datforge.runtime import blas_function
 from datforge.cli import EXIT_RUNTIME, main
 from datforge.distort import DIRECT_CONV_MAX_TAPS, Waveform, apply_reverb, make_impulse_response
@@ -601,16 +601,26 @@ def test_continual_sweep_pretrains_once(tmp_path, monkeypatch):
     assert calls == ["continual_plus_dat"]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_continual_sweep_matches_each_cell_alone(tmp_path, jobs):
-    manifest = ExperimentManifest.from_dict(dict(CONTINUAL_SWEEP))
-    (spec,) = manifest.stages
+# TINY_MANIFEST's dat_only stage, swept over its two lambdas under the binary-domain objective
+BCE_SWEEP = dict(TINY_MANIFEST, sweep=dict(TINY_MANIFEST["sweep"], objective="bce"))
+
+
+@pytest.mark.parametrize("sweep, jobs", [(CONTINUAL_SWEEP, 1), (CONTINUAL_SWEEP, 2),
+                                         (BCE_SWEEP, 1), (BCE_SWEEP, 2)],
+                         ids=["1", "2", "dat-bce-1", "dat-bce-2"])
+def test_continual_sweep_matches_each_cell_alone(tmp_path, sweep, jobs):
+    """``sweep_report.csv`` equals ``pretrain`` + ``run_stage`` + ``build_report`` on fresh
+    data whose clips carry their samples, each cell trained and pretrained alone."""
+    manifest = ExperimentManifest.from_dict(dict(sweep))
+    spec = next(s for s in manifest.stages if s.stage == manifest.sweep.stage)
     data = build_experiment_data(manifest.corpus, manifest.splits_seed)
     rows = []
     for lam in sorted(manifest.sweep.lambdas, reverse=True):
         cfg = replace(spec.config, objective=manifest.sweep.objective, grl_lambda=lam)
         model_cfg = ModelConfig(n_classes=data.classes, domain_setting=cfg.domain_setting)
-        pretrained = trainer.pretrain(cfg, data.continual_set, model_cfg, spec.stage)
+        pretrained = None
+        if spec.stage in trainer.CONTINUAL_STAGES:
+            pretrained = trainer.pretrain(cfg, data.continual_set, model_cfg, spec.stage)
         res = run_stage(spec.stage, data.splits, cfg, model_cfg, pretrained=pretrained)
         row = build_report([res], data.splits).rows[0]
         rows.append({"lambda": lam, "reported": lam in REPORTED_LAMBDAS,
@@ -622,21 +632,21 @@ def test_continual_sweep_matches_each_cell_alone(tmp_path, jobs):
         (tmp_path / "alone.csv").read_bytes()
 
 
-def _featurize_logging(monkeypatch, log: Path):
-    """Make ``distort.featurize`` append ``<pid> <id of the waveform>`` to ``log`` before each
-    call: a line per call, whichever process makes it."""
-    real = distort.featurize
+def _call_logging(monkeypatch, owner, name: str, log: Path):
+    """Make ``owner.<name>`` append ``<pid> <id of its first argument>`` to ``log`` before
+    each call: a line per call, whichever process makes it."""
+    real = getattr(owner, name)
 
-    def logging(w, *args):
+    def logging(first, *args, **kwargs):
         with open(log, "a") as f:
-            f.write(f"{os.getpid()} {id(w)}\n")
-        return real(w, *args)
+            f.write(f"{os.getpid()} {id(first)}\n")
+        return real(first, *args, **kwargs)
 
-    monkeypatch.setattr(distort, "featurize", logging)
+    monkeypatch.setattr(owner, name, logging)
 
 
-def _featurize_calls(log: Path) -> list[tuple[int, int]]:
-    """(pid, waveform id) of each logged ``featurize`` call, in call order."""
+def _logged_calls(log: Path) -> list[tuple[int, int]]:
+    """(pid, first argument's id) of each call ``_call_logging`` logged, in call order."""
     return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
 
@@ -656,13 +666,13 @@ def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch, cpus):
 
     monkeypatch.setattr(pipeline, "build_training_data", keeping)
     monkeypatch.setattr(pipeline, "add_test_sets", keeping_tests)
-    _featurize_logging(monkeypatch, tmp_path / "featurize.log")
+    _call_logging(monkeypatch, distort, "featurize", tmp_path / "featurize.log")
     run_experiment(tiny_standard(), tmp_path / "out")
     (data,), (sp,) = built, tested  # kept alive, so no two of their waveforms share an id
     waves = {id(c.waveform) for part in (sp.S, sp.T, sp.test_clean, sp.test_seen, sp.test_unseen)
              for c in part}
     waves |= {id(w) for c in data.continual_set for w in (c.waveform, c.clean)}
-    calls = _featurize_calls(tmp_path / "featurize.log")
+    calls = _logged_calls(tmp_path / "featurize.log")
     assert {pid for pid, _ in calls} == {os.getpid()}  # once per run, in the parent
     ids = [w for _, w in calls]
     assert len(ids) == len(set(ids)) == len(waves)
@@ -670,7 +680,7 @@ def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch, cpus):
 
 
 # ---------------------------------------------------------------------------
-# forked workers inherit features, not samples
+# forked workers and evaluation read features, not samples
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("command, workers", [
@@ -678,9 +688,10 @@ def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch, cpus):
     ("sweep", 1), pytest.param("sweep", 2, marks=forks)])
 def test_workers_inherit_no_samples(tmp_path, monkeypatch, command, workers):
     samples = []  # weakrefs to the samples of every clip built, and of each continual clean input
-    alive_at_map = []
-    real_build, real_add, real_map = (pipeline.build_training_data, pipeline.add_test_sets,
-                                      pipeline.parallel_map)
+    alive_at_map, alive_at_report = [], []
+    real_build, real_add, real_map, real_report = (
+        pipeline.build_training_data, pipeline.add_test_sets, pipeline.parallel_map,
+        pipeline.build_report)
 
     def keep_refs(clips):
         samples.extend(weakref.ref(w.samples) for c in clips for w in (c.waveform, c.clean)
@@ -700,11 +711,16 @@ def test_workers_inherit_no_samples(tmp_path, monkeypatch, command, workers):
         alive_at_map.append(sum(r() is not None for r in samples))
         return real_map(*args, **kwargs)
 
+    def reporting(*args, **kwargs):
+        alive_at_report.append(sum(r() is not None for r in samples))
+        return real_report(*args, **kwargs)
+
     monkeypatch.setattr(pipeline, "build_training_data", building)
     monkeypatch.setattr(pipeline, "add_test_sets", adding)
     monkeypatch.setattr(pipeline, "parallel_map", mapping)
+    monkeypatch.setattr(pipeline, "build_report", reporting)
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: workers)
-    _featurize_logging(monkeypatch, tmp_path / "featurize.log")
+    _call_logging(monkeypatch, distort, "featurize", tmp_path / "featurize.log")
     if command == "run":
         manifest = tiny_standard()
         run_experiment(manifest, tmp_path / "out")
@@ -716,7 +732,8 @@ def test_workers_inherit_no_samples(tmp_path, monkeypatch, command, workers):
     assert len(samples) == c.classes * (c.n_per_class + 2 * c.continual_n_per_class
                                         + 3 * c.test_n_per_class)
     assert alive_at_map == [0]  # every sample built so far is freed before the map starts
-    assert {pid for pid, _ in _featurize_calls(tmp_path / "featurize.log")} == {os.getpid()}
+    assert alive_at_report == [0]  # one evaluation, here, after the test sets are released too
+    assert {pid for pid, _ in _logged_calls(tmp_path / "featurize.log")} == {os.getpid()}
 
 
 @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=forks)], ids=["in-process", "forked"])
@@ -783,16 +800,18 @@ def test_corpus_build_frees_the_target_sources_before_the_continual_set(monkeypa
 
 
 # ---------------------------------------------------------------------------
-# run: the stage workers fork before the test sets exist, and the continual set
-# is freed before they are built
+# run and sweep: the workers fork before the test sets exist, the continual set is
+# freed before they are built, and the parent evaluates
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+@pytest.mark.parametrize("command, cpus", [
+    ("run", 1), ("run", 2), ("sweep", 1), ("sweep", 2)],
+    ids=["in-process", "forked", "sweep-in-process", "sweep-forked"])
 def test_run_builds_the_test_sets_after_training_and_frees_the_continual_set(
-        tmp_path, monkeypatch, cpus):
+        tmp_path, monkeypatch, command, cpus):
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
     test_clips, continual = [], []  # weakrefs to every test-corpus clip and continual waveform
-    at_map, at_test_synth = [], []  # what was alive when the stage map / test synthesis began
+    at_map, at_test_synth = [], []  # what was alive when the map / test synthesis began
     real_synth, real_continual, real_map = (pipeline.synth_corpus, pipeline.build_continual_set,
                                             pipeline.parallel_map)
 
@@ -813,19 +832,30 @@ def test_run_builds_the_test_sets_after_training_and_frees_the_continual_set(
         return clips
 
     def map_checking(*args, **kwargs):
-        at_map.append(len(test_clips))
+        at_map.append((len(test_clips), len(alive(continual))))
         return real_map(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "synth_corpus", synth_keeping_refs)
     monkeypatch.setattr(pipeline, "build_continual_set", continual_keeping_refs)
     monkeypatch.setattr(pipeline, "parallel_map", map_checking)
-    manifest = tiny_standard()
-    run_experiment(manifest, tmp_path / "out")
+    _call_logging(monkeypatch, evalharness, "evaluate", tmp_path / "evaluate.log")
+    if command == "run":
+        manifest = tiny_standard()
+        run_experiment(manifest, tmp_path / "out")
+    else:
+        manifest = ExperimentManifest.from_dict(dict(CONTINUAL_SWEEP))
+        run_sweep(manifest, tmp_path / "out", jobs=cpus)
     n_cont = manifest.corpus.continual_n_per_class * manifest.corpus.classes
     assert len(continual) == 2 * n_cont  # each clip's distorted input and clean target
-    assert at_map == [0]  # no test clip synthesized yet when the stage map starts
+    # no test clip synthesized yet when the map starts; run's stage workers pretrain on the
+    # continual set, while a sweep pretrains before its cells and frees the set first
+    assert at_map == [(0, 2 * n_cont if command == "run" else 0)]
     assert at_test_synth == [0]  # every continual waveform freed by then
     assert len(test_clips) == manifest.corpus.test_n_per_class * manifest.corpus.classes
+    trained = len(manifest.stages) if command == "run" else len(manifest.sweep.lambdas)
+    evaluated = _logged_calls(tmp_path / "evaluate.log")
+    assert len(evaluated) == 3 * trained  # each model on each test set, all in this process
+    assert {pid for pid, _ in evaluated} == {os.getpid()}
 
 
 @pytest.mark.parametrize("classes, n_per_class", [(2, 5), (3, 5)], ids=["even", "odd"])
