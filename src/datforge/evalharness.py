@@ -45,11 +45,12 @@ class DomainProbeResult:
 
 
 def evaluate(model: DannModel, test_set: list[Clip]) -> float:
-    """Argmax accuracy of the label head on a labeled set."""
+    """Argmax label-head accuracy on labeled clips pooled by ``DannModel.pooled_features``."""
     if not test_set:
         raise ValueError("evaluate: empty test set")
-    labels = np.array([c.label for c in test_set], dtype=np.int64)
-    logits = model.predict_logits(features_of(test_set))
+    tape, labels = Tape(), np.array([c.label for c in test_set], dtype=np.int64)
+    pooled = tape.const(model.pooled_features(features_of(test_set)))
+    logits = model.label_head.forward_pooled(tape, pooled).value
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
@@ -70,17 +71,15 @@ class ProbeConfig:
 
 def domain_probe(model: DannModel, splits: CorpusSplit,
                  probe_cfg: ProbeConfig | None = None) -> DomainProbeResult:
-    """Train a fresh domain ``Head`` on frozen features, each clip pooled through
-    ``forward_pooled_features`` as in training and ``evaluate``, one clip per call:
-    a batched call over every S+T clip raises peak memory.
+    """Train a fresh domain ``Head`` on frozen features, pooled by
+    ``DannModel.pooled_features`` as in ``evaluate``.
 
     Lower held-out probe accuracy means more domain-invariant features.
     The extractor is only read, never updated.  The probe always tells every
     distortion kind apart (multi-domain), whatever setting the model trained in.
     """
     cfg = probe_cfg or ProbeConfig()
-    x = np.concatenate([model.forward_pooled_features(Tape(), [f]).value
-                        for f in features_of(splits.S) + features_of(splits.T)])
+    x = model.pooled_features(features_of(splits.S) + features_of(splits.T))
     doms = np.concatenate([np.zeros(len(splits.S), dtype=np.int64),
                            domain_indices(splits.T, "multi")])
     n_dom = model.cfg.n_domains + 1

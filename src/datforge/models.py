@@ -127,10 +127,10 @@ class DannModel:
         pooled = tape.mean_pool_segments(h, [f.shape[0] for f in feats])
         return self.extractor.project(tape, pooled)
 
-    def predict_logits(self, feats: list[np.ndarray]) -> np.ndarray:
-        tape = Tape()
-        pooled = self.forward_pooled_features(tape, feats)
-        return self.label_head.forward_pooled(tape, pooled).value
+    def pooled_features(self, feats: list[np.ndarray]) -> np.ndarray:
+        """B x D pooled features for inference, one clip per ``Tape``: a tape over every
+        clip would hold all their frames' activations at once; one clip's bounds memory."""
+        return np.concatenate([self.forward_pooled_features(Tape(), [f]).value for f in feats])
 
     # ---- checkpointing ----------------------------------------------
 

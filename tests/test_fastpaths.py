@@ -37,6 +37,7 @@ from datforge.evalharness import (
     ProbeConfig,
     build_report,
     domain_probe,
+    evaluate,
     write_report_csv,
 )
 from datforge.gradcore import Optimizer, Parameter, Tape
@@ -288,8 +289,11 @@ def test_probe_pools_like_the_per_frame_extractor(small_splits, stage):
     model = run_stage(stage, small_splits, TrainConfig(epochs=2, batch_size=4), cfg).model
     feats = features_of(small_splits.S) + features_of(small_splits.T)
     ref = np.stack([model.extractor.extract_features(f).mean(axis=0) for f in feats])
-    pooled = np.concatenate([model.forward_pooled_features(Tape(), [f]).value for f in feats])
-    np.testing.assert_allclose(pooled, ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(model.pooled_features(feats), ref, rtol=1e-12, atol=0)
+    clips = small_splits.S + small_splits.oracle_labeled_target("oracle")  # the clips of feats
+    head, labels = model.label_head, [c.label for c in clips]
+    assert evaluate(model, clips) == np.mean(np.argmax(ref @ head.w.value + head.b.value, axis=1)
+                                             == labels)
     for seed in (0, 1):
         res = domain_probe(model, small_splits, ProbeConfig(seed=seed))
         assert (res.probe_acc, res.converged) == reference_probe(ref, small_splits,
@@ -341,7 +345,7 @@ def test_blas_thread_count_changes_no_result():
     model = DannModel(ModelConfig(), 3)
 
     def outputs():
-        return distort.featurize(clip), x @ W + b, model.predict_logits(feats)
+        return distort.featurize(clip), x @ W + b, model.pooled_features(feats)
 
     one = outputs()
     set_blas_threads(2)
@@ -351,7 +355,7 @@ def test_blas_thread_count_changes_no_result():
     finally:
         set_blas_threads(1)
     assert blas_threads() == 1
-    for name, a, c in zip(("featurize", "x @ W + b", "predict_logits"), one, two):
+    for name, a, c in zip(("featurize", "x @ W + b", "pooled_features"), one, two):
         assert np.array_equal(a, c), name
 
 
@@ -839,6 +843,23 @@ def test_run_builds_the_test_sets_after_training_and_frees_the_continual_set(
     monkeypatch.setattr(pipeline, "build_continual_set", continual_keeping_refs)
     monkeypatch.setattr(pipeline, "parallel_map", map_checking)
     _call_logging(monkeypatch, evalharness, "evaluate", tmp_path / "evaluate.log")
+    evaluating, eval_batches = [], []  # evaluate calls under way; len(feats) of their forwards
+    real_evaluate, real_forward = evalharness.evaluate, DannModel.forward_pooled_features
+
+    def evaluate_flagged(*args, **kwargs):
+        evaluating.append(True)
+        try:
+            return real_evaluate(*args, **kwargs)
+        finally:
+            evaluating.pop()
+
+    def forward_logging(self, tape, feats):
+        if evaluating:
+            eval_batches.append(len(feats))
+        return real_forward(self, tape, feats)
+
+    monkeypatch.setattr(evalharness, "evaluate", evaluate_flagged)
+    monkeypatch.setattr(DannModel, "forward_pooled_features", forward_logging)
     if command == "run":
         manifest = tiny_standard()
         run_experiment(manifest, tmp_path / "out")
@@ -856,6 +877,7 @@ def test_run_builds_the_test_sets_after_training_and_frees_the_continual_set(
     evaluated = _logged_calls(tmp_path / "evaluate.log")
     assert len(evaluated) == 3 * trained  # each model on each test set, all in this process
     assert {pid for pid, _ in evaluated} == {os.getpid()}
+    assert eval_batches and set(eval_batches) == {1}  # one clip per forward pass
 
 
 @pytest.mark.parametrize("classes, n_per_class", [(2, 5), (3, 5)], ids=["even", "odd"])

@@ -111,14 +111,14 @@ class TestDannModel:
         z0 = model.extractor.extract_features(feats[0]).mean(axis=0)
         assert np.allclose(pooled.value[0], z0)
 
-    def test_predict_logits_argmax_stability(self, cfg):
+    def test_pooled_features_stability(self, cfg):
         model = DannModel(cfg, seed=0)
         rng = np.random.default_rng(2)
         feats = [rng.normal(size=(4, cfg.input_dim))]
-        a = model.predict_logits(feats)
-        b = model.predict_logits(feats)
+        a = model.pooled_features(feats)
+        b = model.pooled_features(feats)
         assert np.array_equal(a, b)
-        assert a.shape == (1, cfg.n_classes)
+        assert a.shape == (1, cfg.feature_dim)
 
     def test_parameters_cover_three_groups(self, cfg):
         model = DannModel(cfg, seed=0)

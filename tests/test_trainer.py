@@ -6,6 +6,7 @@ import pytest
 from datforge.distort import build_continual_set, build_splits, synth_corpus, with_test_sets
 from datforge import distort, pipeline, trainer
 from datforge.errors import ConfigError, DatforgeError, PolicyError
+from datforge.evalharness import evaluate
 from datforge.gradcore import Optimizer, Tape
 from datforge.models import DannModel, ModelConfig
 from datforge.objectives import entropy_domain_loss, task_loss
@@ -371,9 +372,7 @@ class TestSeparableToyCase:
         model = DannModel(SMALL_MODEL, seed=0)
         cfg = small_cfg(epochs=50, eta=1e-3, alpha=1e-2, batch_size=8)
         train_supervised(clips, model, cfg)
-        logits = model.predict_logits(features_of(clips))
-        acc = float(np.mean(np.argmax(logits, axis=1) == [c.label for c in clips]))
-        assert acc >= 0.99
+        assert evaluate(model, clips) >= 0.99
 
 
 class TestLambdaSweep:
