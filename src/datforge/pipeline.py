@@ -255,7 +255,6 @@ def standard_manifest(seed: int) -> ExperimentManifest:
 class ExperimentData:
     splits: CorpusSplit
     continual_set: list
-    classes: int  # the corpus's; the label head gets one output per class
 
 
 def build_training_data(corpus: CorpusSpec, splits_seed: int,
@@ -272,7 +271,7 @@ def build_training_data(corpus: CorpusSpec, splits_seed: int,
                                    derive_seed(corpus.seed, 202), id_prefix="cont")
         continual = build_continual_set([c.waveform for c in cont_corpus],
                                         derive_seed(splits_seed, 7), corpus.noise_bank)
-    return ExperimentData(splits, continual, corpus.classes)
+    return ExperimentData(splits, continual)
 
 
 def add_test_sets(splits: CorpusSplit, corpus: CorpusSpec, splits_seed: int) -> CorpusSplit:
@@ -356,48 +355,69 @@ def parallel_map(fn, items, jobs: int) -> list:
             raise
 
 
-def _model_cfg(cfg: TrainConfig, data: ExperimentData) -> ModelConfig:
+def _model_cfg(cfg: TrainConfig, classes: int) -> ModelConfig:
     """The model of a stage: one label output per corpus class, the objective's domain setting."""
-    return ModelConfig(n_classes=data.classes, domain_setting=cfg.domain_setting)
+    return ModelConfig(n_classes=classes, domain_setting=cfg.domain_setting)
 
 
 def stage_groups(stages: list[StageSpec]) -> list[list[StageSpec]]:
     """The stages, one group per distinct continual pretraining, in order of first stage.
 
     Continual stages that agree on every ``PRETRAIN_FIELDS`` setting share a
-    group; any other stage is a group of its own.
+    group; any other stage, each sweep cell too, is a group of its own.
     """
     groups: dict[object, list[StageSpec]] = {}
-    for spec in stages:
-        key = pretrain_settings(spec.config) if spec.stage in CONTINUAL_STAGES else spec.stage
+    for i, spec in enumerate(stages):
+        key = pretrain_settings(spec.config) if spec.stage in CONTINUAL_STAGES else i
         groups.setdefault(key, []).append(spec)
     return list(groups.values())
 
 
-def _train_group(group: list[StageSpec], data: ExperimentData) -> list[StageResult]:
-    """Pretrain once if the group's stages are continual, then train each from its own copy."""
+def _sweep_cell(args) -> list[StageResult]:
+    """Train one ``train_stages`` item: a group of stages, pretrained here first if they are
+    continual and come with no ``Pretrained``.  perfbench's tracer wraps this function by
+    name to hand worker spans back, so it keeps the name it had when only sweeps used it."""
+    group, data, classes, pretrained = args
     first = group[0]
-    pretrained = None
-    if first.stage in CONTINUAL_STAGES:
+    if pretrained is None and first.stage in CONTINUAL_STAGES:
         pretrained = pretrain(first.config, data.continual_set,
-                              _model_cfg(first.config, data), first.stage)
-    return [run_stage(s.stage, data.splits, s.config, _model_cfg(s.config, data), pretrained)
+                              _model_cfg(first.config, classes), first.stage)
+    return [run_stage(s.stage, data.splits, s.config, _model_cfg(s.config, classes), pretrained)
             for s in group]
 
 
-def run_stages(manifest: ExperimentManifest, data: ExperimentData) -> list[StageResult]:
-    """Train every stage of the manifest; results come in manifest order, whatever the workers.
+def train_stages(manifest: ExperimentManifest, specs: list[StageSpec],
+                 jobs: int) -> tuple[list[StageResult], CorpusSplit]:
+    """Train ``specs`` on the manifest's corpus in up to ``jobs`` workers; return their results
+    in the order of ``specs``, and the splits with their test sets.
 
-    Each ``stage_groups`` group is one item of ``parallel_map``, with one
-    worker per usable CPU.  A wrapper put around ``run_stage`` (a tracer's or
-    profiler's) keeps its record in this process, and a forked worker would
-    add to a copy that is lost, so wrapped stages train here.
+    Every clip keeps its features and frees its samples right after it is built: the
+    training clips before the workers fork, the test sets after training, once the
+    continual set, which only pretraining reads, is freed.  So no worker inherits a
+    sample or a test clip.  Each ``stage_groups`` group is one ``parallel_map`` item that
+    pretrains in its worker while the other groups train.  When all of ``specs`` make one
+    continual group, nothing could train beside its pretraining: this process pretrains
+    once, lets go of the continual set, and each spec becomes an item of its own.
     """
-    jobs = 1 if hasattr(run_stage, "__wrapped__") else usable_cpus()
-    trained = parallel_map(lambda group: _train_group(group, data),
-                           stage_groups(manifest.stages), jobs)
-    by_stage = {res.stage: res for results in trained for res in results}
-    return [by_stage[spec.stage] for spec in manifest.stages]
+    corpus = manifest.corpus
+    data = build_training_data(corpus, manifest.splits_seed,
+                               any(s.stage in CONTINUAL_STAGES for s in specs))
+    _keep_features(data.splits.S + data.splits.T + data.continual_set)
+    groups, pretrained = stage_groups(specs), None
+    if len(groups) == 1 and specs[0].stage in CONTINUAL_STAGES:
+        first = specs[0]
+        pretrained = pretrain(first.config, data.continual_set,
+                              _model_cfg(first.config, corpus.classes), first.stage)
+        data.continual_set = []
+        groups = [[s] for s in specs]
+    trained = parallel_map(_sweep_cell, [(g, data, corpus.classes, pretrained) for g in groups],
+                           jobs)
+    splits = data.splits
+    del data  # the last reference to the continual set, freed before the test sets
+    splits = add_test_sets(splits, corpus, manifest.splits_seed)
+    _keep_features(splits.test_clean + splits.test_seen + splits.test_unseen)
+    by_spec = {id(s): res for g, results in zip(groups, trained) for s, res in zip(g, results)}
+    return [by_spec[id(s)] for s in specs], splits
 
 
 def write_training_log(path, rows: list[LogRow]):
@@ -416,15 +436,10 @@ def write_training_log(path, rows: list[LogRow]):
 def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport:
     """Full pipeline: corpus -> stages -> checkpoints and report files under ``out_dir``.
 
-    Every clip keeps its features and frees its samples right after it is built: the
-    training clips before the stage workers fork, the test sets before evaluation.  The
-    test sets are built after training, so the workers do not inherit them, and after
-    the continual set, which only pretraining reads, is freed.
+    The stages train in one worker per usable CPU (``train_stages``).  A wrapper put
+    around ``run_stage`` (a tracer's or profiler's) keeps its record in this process, and
+    a forked worker would add to a copy that is lost, so wrapped stages train here.
     """
-    needs_continual = any(s.stage in CONTINUAL_STAGES for s in manifest.stages)
-    data = build_training_data(manifest.corpus, manifest.splits_seed, needs_continual)
-    _keep_features(data.splits.S + data.splits.T + data.continual_set)
-
     out_dir = Path(out_dir)
     marker = out_dir / RUN_MARKER
     if marker.exists():  # previous interrupted run: remove only what it may have written
@@ -435,18 +450,13 @@ def run_experiment(manifest: ExperimentManifest, out_dir: Path) -> MetricsReport
     # a probe of the checkpoints this run replaces no longer describes the dir
     (out_dir / "probe.json").unlink(missing_ok=True)
 
-    results = run_stages(manifest, data)
-    log_rows = [row for res in results for row in res.log]
-    write_training_log(out_dir / "training_log.csv", log_rows)
+    jobs = 1 if hasattr(run_stage, "__wrapped__") else usable_cpus()
+    results, splits = train_stages(manifest, manifest.stages, jobs)
+    write_training_log(out_dir / "training_log.csv", [row for res in results for row in res.log])
     for res in results:
         res.model.save(out_dir / f"{res.stage}.ckpt")
         if res.start is not None:
             res.start.save(out_dir / f"{res.stage}_continual.ckpt")
-
-    splits = data.splits
-    del data  # the run's last reference to the continual set, freed before the test sets
-    splits = add_test_sets(splits, manifest.corpus, manifest.splits_seed)
-    _keep_features(splits.test_clean + splits.test_seen + splits.test_unseen)
     write_manifest(out_dir / "corpus_manifest.jsonl", manifest_entries(splits))
 
     payload = manifest.to_dict()
@@ -472,35 +482,16 @@ def sweep_plan(manifest: ExperimentManifest) -> tuple[SweepSpec, list[float]]:
     return manifest.sweep, sorted(manifest.sweep.lambdas, reverse=True)
 
 
-def _sweep_cell(args) -> StageResult:
-    return run_stage(*args)
-
-
 def run_sweep(manifest: ExperimentManifest, out_dir: Path, jobs: int = 1) -> list[dict]:
-    """Train the sweep's stage once per lambda, from the manifest's entry for that stage.
-
-    The data lifecycle is ``run_experiment``'s.  A continual stage pretrains once, before
-    the cells, since lambda is not one of ``PRETRAIN_FIELDS``.  ``_sweep_cell`` is looked
-    up when the ``parallel_map`` starts, so a wrapper installed around it runs in the
-    workers.  Each cell hands back its ``StageResult``, and this process evaluates them.
-    """
+    """Train the sweep's stage once per lambda, from the manifest's entry for that stage,
+    through ``train_stages``, then evaluate the cells here.  ``_sweep_cell`` is looked up
+    when the map starts, so a wrapper installed around it runs in the workers."""
     sweep, lams = sweep_plan(manifest)
     entry = next(s for s in manifest.stages if s.stage == sweep.stage)
     cfg = replace(entry.config, objective=sweep.objective)
-    needs_continual = sweep.stage in CONTINUAL_STAGES
-    data = build_training_data(manifest.corpus, manifest.splits_seed, needs_continual)
-    _keep_features(data.splits.S + data.splits.T + data.continual_set)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    model_cfg = _model_cfg(cfg, data)
-    pretrained = (pretrain(cfg, data.continual_set, model_cfg, sweep.stage)
-                  if needs_continual else None)
-    splits = data.splits
-    del data  # the sweep's last reference to the continual set, freed before the cells
-    cells = [(sweep.stage, splits, replace(cfg, grl_lambda=lam), model_cfg, pretrained)
-             for lam in lams]
-    results = parallel_map(_sweep_cell, cells, jobs)
-    splits = add_test_sets(splits, manifest.corpus, manifest.splits_seed)
-    _keep_features(splits.test_clean + splits.test_seen + splits.test_unseen)
+    results, splits = train_stages(
+        manifest, [StageSpec(sweep.stage, replace(cfg, grl_lambda=lam)) for lam in lams], jobs)
     rows = [{"lambda": r.grl_lambda, "reported": r.grl_lambda in REPORTED_LAMBDAS,
              "clean_acc": r.clean_acc, "seen_acc": r.seen_acc, "unseen_acc": r.unseen_acc}
             for r in build_report(results, splits).rows]
@@ -541,7 +532,7 @@ def run_probe(manifest: ExperimentManifest, out_dir: Path) -> list[dict]:
     probe_cfg = ProbeConfig(seed=manifest.seed)
     rows = []
     for spec in manifest.stages:
-        model = DannModel(_model_cfg(spec.config, data), 0)
+        model = DannModel(_model_cfg(spec.config, manifest.corpus.classes), 0)
         model.load(out_dir / f"{spec.stage}.ckpt")
         probe = domain_probe(model, data.splits, probe_cfg)
         objective, lam = adversarial_settings(spec.stage, spec.config)

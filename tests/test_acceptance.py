@@ -33,11 +33,11 @@ from datforge.objectives import (
 )
 from datforge.pipeline import (
     ExperimentManifest,
-    build_experiment_data,
     run_experiment,
-    run_stages,
     run_sweep,
     standard_manifest,
+    train_stages,
+    usable_cpus,
 )
 from datforge.trainer import (
     REPORTED_LAMBDAS,
@@ -285,11 +285,11 @@ def standard_results():
     per_seed = {}
     for seed in SEEDS:
         manifest = standard_manifest(seed)
-        data = build_experiment_data(manifest.corpus, manifest.splits_seed)
-        results = {r.stage: r for r in run_stages(manifest, data)}
-        report = build_report(list(results.values()), data.splits)
+        trained, splits = train_stages(manifest, manifest.stages, usable_cpus())
+        results = {r.stage: r for r in trained}
+        report = build_report(trained, splits)
         rows = {r.stage: r for r in report.rows}
-        probes = {stage: domain_probe(results[stage].model, data.splits).probe_acc
+        probes = {stage: domain_probe(results[stage].model, splits).probe_acc
                   for stage in ("baseline", "dat_only")}
         per_seed[seed] = {"rows": rows, "probes": probes}
     return per_seed, time.monotonic() - start

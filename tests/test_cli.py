@@ -30,12 +30,11 @@ from datforge.pipeline import (
     ExperimentManifest,
     StageSpec,
     SweepSpec,
-    build_experiment_data,
     run_experiment,
     run_probe,
-    run_stages,
     run_sweep,
     standard_manifest,
+    train_stages,
 )
 from datforge.trainer import CONTINUAL_STAGES, DAT_STAGES, OBJECTIVES, STAGES, TrainConfig
 
@@ -622,10 +621,10 @@ class TestProbeCommand:
         run_experiment(manifest, tmp_path)
         run_probe(manifest, tmp_path)
         # the reference: the probe of each stage as trained in this process, not reloaded
-        data = build_experiment_data(manifest.corpus, manifest.splits_seed)
+        results, splits = train_stages(manifest, manifest.stages, jobs=1)
         rows = []
-        for res in run_stages(manifest, data):
-            probe = domain_probe(res.model, data.splits, ProbeConfig(seed=manifest.seed))
+        for res in results:
+            probe = domain_probe(res.model, splits, ProbeConfig(seed=manifest.seed))
             rows.append({"stage": res.stage, "objective": res.objective,
                          "lambda": res.grl_lambda, "probe_acc": probe.probe_acc,
                          "chance_level": probe.chance_level, "converged": probe.converged,

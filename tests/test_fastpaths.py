@@ -48,10 +48,10 @@ from datforge.pipeline import (
     build_experiment_data,
     parallel_map,
     run_experiment,
-    run_stages,
     run_sweep,
     stage_groups,
     standard_manifest,
+    train_stages,
     usable_cpus,
 )
 from datforge.trainer import REPORTED_LAMBDAS, TrainConfig, domain_indices, features_of, run_stage
@@ -445,9 +445,8 @@ def test_parallel_map_stays_in_process_while_other_threads_run():
     assert pids == [os.getpid()] * 3
 
 
-def test_wrapped_run_stage_trains_in_process(monkeypatch):
+def test_wrapped_run_stage_trains_in_process(tmp_path, monkeypatch):
     manifest = ExperimentManifest.from_dict(dict(THREE_STAGES))
-    data = build_experiment_data(manifest.corpus, manifest.splits_seed)
     calls = []
 
     @functools.wraps(pipeline.run_stage)
@@ -456,7 +455,7 @@ def test_wrapped_run_stage_trains_in_process(monkeypatch):
         return recording.__wrapped__(stage, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "run_stage", recording)
-    results = run_stages(manifest, data)
+    results = run_experiment(manifest, tmp_path).rows
     assert [r.stage for r in results] == ["baseline", "dat_only", "continual_plus_dat"]
     assert calls == [(r.stage, os.getpid()) for r in results]
 
@@ -518,13 +517,22 @@ def tiny_standard(**continual_plus_dat):
 
 
 def test_standard_continual_stages_share_one_group():
-    groups = stage_groups(standard_manifest(1).stages)
+    stages = standard_manifest(1).stages
+    groups = stage_groups(stages)
     assert [[s.stage for s in g] for g in groups] == [
         ["baseline"], ["oracle"], ["continual_only", "continual_plus_dat"], ["dat_only"]]
+    # sweep cells: one entry's config under each lambda
+    for stage, lams, grouped in (("dat_only", [1e-2, 1e-3], [[1e-2], [1e-3]]),
+                                 ("continual_plus_dat", [1e-1, 1e-2, 1e-3], [[1e-1, 1e-2, 1e-3]])):
+        entry = next(s for s in stages if s.stage == stage)
+        cells = [replace(entry, config=replace(entry.config, grl_lambda=lam)) for lam in lams]
+        groups = stage_groups(cells)
+        assert [[s.config.grl_lambda for s in g] for g in groups] == grouped, stage
+        assert [s for g in groups for s in g] == cells
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_shared_pretraining_matches_each_stage_alone(tmp_path, monkeypatch, jobs):
+def test_shared_pretraining_matches_each_stage_alone(tmp_path, jobs):
     # continual_plus_dat trains a binary domain head, continual_only a multi-domain one:
     # the shared extractor must not depend on the heads
     manifest = tiny_standard(objective="bce")
@@ -533,7 +541,8 @@ def test_shared_pretraining_matches_each_stage_alone(tmp_path, monkeypatch, jobs
     data = build_experiment_data(manifest.corpus, manifest.splits_seed)
     logs = {}
     for spec in manifest.stages:
-        model_cfg = ModelConfig(n_classes=data.classes, domain_setting=spec.config.domain_setting)
+        model_cfg = ModelConfig(n_classes=manifest.corpus.classes,
+                                domain_setting=spec.config.domain_setting)
         pretrained = None
         if spec.stage in trainer.CONTINUAL_STAGES:
             pretrained = trainer.pretrain(spec.config, data.continual_set, model_cfg, spec.stage)
@@ -543,11 +552,9 @@ def test_shared_pretraining_matches_each_stage_alone(tmp_path, monkeypatch, jobs
             res.start.save(alone / f"{spec.stage}_continual.ckpt")
         logs[spec.stage] = res.log
 
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: jobs)
     shared = tmp_path / "shared"
     shared.mkdir()
-    data = build_experiment_data(manifest.corpus, manifest.splits_seed)  # nothing featurized
-    results = run_stages(manifest, data)
+    results, _ = train_stages(manifest, manifest.stages, jobs)
     assert [r.stage for r in results] == [s.stage for s in manifest.stages]
     for res in results:
         res.model.save(shared / f"{res.stage}.ckpt")
@@ -568,7 +575,6 @@ def test_shared_pretraining_matches_each_stage_alone(tmp_path, monkeypatch, jobs
     ({"batch_size": 8}, ["continual_only", "continual_plus_dat"]),
 ])
 def test_one_pretraining_per_distinct_setting(monkeypatch, change, pretrainings):
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)  # count in this process
     calls = []
     real = trainer.continual_pretrain
 
@@ -578,10 +584,59 @@ def test_one_pretraining_per_distinct_setting(monkeypatch, change, pretrainings)
 
     monkeypatch.setattr(trainer, "continual_pretrain", counting)
     manifest = tiny_standard(**change)
-    results = run_stages(manifest, build_experiment_data(manifest.corpus, manifest.splits_seed))
+    results, _ = train_stages(manifest, manifest.stages, jobs=1)  # count in this process
     assert calls == pretrainings
     assert [r.stage for r in results] == [s.stage for s in manifest.stages]
     assert all(row.stage == res.stage for res in results for row in res.log)
+
+
+@forks
+@pytest.mark.parametrize("stages, pretrains_here", [
+    (trainer.CONTINUAL_STAGES, True), (trainer.STAGES, False)], ids=["one-group", "standard"])
+def test_pretraining_runs_where_the_stage_groups_say(tmp_path, monkeypatch, stages,
+                                                     pretrains_here):
+    """One continual group pretrains here, and its stages train in a worker each; among
+    other groups, the pretraining runs in its group's worker.  Either way, at 2 CPUs the
+    files equal those of the run at 1 CPU."""
+    # bce: continual_plus_dat's domain head differs from continual_only's
+    standard = tiny_standard(objective="bce")
+    manifest = replace(standard, stages=[s for s in standard.stages if s.stage in stages],
+                       sweep=None)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+    run_experiment(manifest, tmp_path / "serial")
+
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+    pretrain_log, train_log = tmp_path / "pretrain.log", tmp_path / "train.log"
+    _call_logging(monkeypatch, trainer, "continual_pretrain", pretrain_log)
+
+    # the first two trainings wait for each other, so one worker cannot take both items
+    def meeting(real):
+        def train(*args, **kwargs):
+            deadline = time.monotonic() + 30
+            while len(_logged_calls(train_log)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return real(*args, **kwargs)
+        return train
+
+    for name in ("train_supervised", "train_dat"):
+        monkeypatch.setattr(trainer, name, meeting(getattr(trainer, name)))
+        _call_logging(monkeypatch, trainer, name, train_log)
+    run_experiment(manifest, tmp_path / "forked")
+
+    pretrained = [pid for pid, _ in _logged_calls(pretrain_log)]
+    trained = [pid for pid, _ in _logged_calls(train_log)]
+    assert len(pretrained) == 1 and (pretrained[0] == os.getpid()) == pretrains_here
+    assert len(trained) == len(manifest.stages) and os.getpid() not in trained
+    if pretrains_here:
+        assert len(set(trained)) == 2
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "forked").iterdir())
+    for name in names:
+        serial, forked = ((tmp_path / run / name).read_bytes() for run in ("serial", "forked"))
+        if name == "report.json":  # equal but for when each run wrote it
+            serial, forked = json.loads(serial), json.loads(forked)
+            del serial["metadata"]["created_at"], forked["metadata"]["created_at"]
+        assert serial == forked, name
 
 
 # TINY_MANIFEST's corpus, swept over three lambdas of a continual stage
@@ -621,7 +676,8 @@ def test_continual_sweep_matches_each_cell_alone(tmp_path, sweep, jobs):
     rows = []
     for lam in sorted(manifest.sweep.lambdas, reverse=True):
         cfg = replace(spec.config, objective=manifest.sweep.objective, grl_lambda=lam)
-        model_cfg = ModelConfig(n_classes=data.classes, domain_setting=cfg.domain_setting)
+        model_cfg = ModelConfig(n_classes=manifest.corpus.classes,
+                                domain_setting=cfg.domain_setting)
         pretrained = None
         if spec.stage in trainer.CONTINUAL_STAGES:
             pretrained = trainer.pretrain(cfg, data.continual_set, model_cfg, spec.stage)
@@ -753,7 +809,8 @@ def test_run_matches_the_reference_path(tmp_path, monkeypatch, cpus):
     data = build_experiment_data(manifest.corpus, manifest.splits_seed)
     results = []
     for spec in manifest.stages:
-        model_cfg = ModelConfig(n_classes=data.classes, domain_setting=spec.config.domain_setting)
+        model_cfg = ModelConfig(n_classes=manifest.corpus.classes,
+                                domain_setting=spec.config.domain_setting)
         pretrained = None
         if spec.stage in trainer.CONTINUAL_STAGES:
             pretrained = trainer.pretrain(spec.config, data.continual_set, model_cfg, spec.stage)
@@ -868,8 +925,9 @@ def test_run_builds_the_test_sets_after_training_and_frees_the_continual_set(
         run_sweep(manifest, tmp_path / "out", jobs=cpus)
     n_cont = manifest.corpus.continual_n_per_class * manifest.corpus.classes
     assert len(continual) == 2 * n_cont  # each clip's distorted input and clean target
-    # no test clip synthesized yet when the map starts; run's stage workers pretrain on the
-    # continual set, while a sweep pretrains before its cells and frees the set first
+    # no test clip synthesized yet when the map starts; the standard stages pretrain in a
+    # worker, on the continual set, while the sweep's one continual group pretrains here
+    # and frees the set first
     assert at_map == [(0, 2 * n_cont if command == "run" else 0)]
     assert at_test_synth == [0]  # every continual waveform freed by then
     assert len(test_clips) == manifest.corpus.test_n_per_class * manifest.corpus.classes
@@ -898,4 +956,3 @@ def test_run_data_parts_compose_to_the_experiment_data(classes, n_per_class):
     assert clips(data.continual_set) == clips(whole.continual_set)
     assert clips(splits.oracle_labeled_target("oracle")) == \
         clips(whole.splits.oracle_labeled_target("oracle"))  # T with its hidden labels
-    assert data.classes == whole.classes == classes
