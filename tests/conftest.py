@@ -1,9 +1,17 @@
+import hashlib
+import time
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from datforge.distort import build_splits, synth_corpus, with_test_sets
+from datforge.evalharness import build_report, domain_probe, write_report_csv
+from datforge.pipeline import standard_manifest, train_stages, usable_cpus, write_training_log
+
+SEEDS = (1, 2, 3)  # the seeds of the standard experiment that criteria 5 and 6 read
+PROBED_STAGES = ("baseline", "dat_only")
 
 
 def finite_diff(f, x, eps=1e-6):
@@ -42,3 +50,44 @@ def small_corpus():
 def small_splits(small_corpus):
     test = synth_corpus(3, 4, seed=12, id_prefix="test")
     return with_test_sets(build_splits(small_corpus, seed=5), test, seed=5)
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def standard_experiment(out_root: Path) -> tuple[dict, float]:
+    """The standard experiment at each of ``SEEDS``, and the seconds it took.
+
+    Each seed maps to its report rows by stage, the domain probe accuracy of
+    each ``PROBED_STAGES`` model, and the sha256 of the files it writes under
+    ``out_root/<seed>``: ``report.csv`` and ``training_log.csv`` as ``run``
+    writes them, and the checkpoint of every model and every ``start`` model.
+    """
+    start = time.monotonic()
+    per_seed = {}
+    for seed in SEEDS:
+        manifest = standard_manifest(seed)
+        trained, splits = train_stages(manifest, manifest.stages, usable_cpus())
+        report = build_report(trained, splits)
+        models = {r.stage: r.model for r in trained}
+        probes = {stage: domain_probe(models[stage], splits).probe_acc
+                  for stage in PROBED_STAGES}
+        out = out_root / str(seed)
+        out.mkdir(parents=True)
+        write_report_csv(out / "report.csv", report)
+        write_training_log(out / "training_log.csv", [row for r in trained for row in r.log])
+        for r in trained:
+            r.model.save(out / f"{r.stage}.ckpt")
+            if r.start is not None:
+                r.start.save(out / f"{r.stage}_continual.ckpt")
+        per_seed[seed] = {"rows": {r.stage: r for r in report.rows}, "probes": probes,
+                          "files": {p.name: sha256_of(p) for p in sorted(out.iterdir())}}
+    return per_seed, time.monotonic() - start
+
+
+@pytest.fixture(scope="session")
+def standard_results(tmp_path_factory):
+    """``standard_experiment``, trained once per session for criteria 5 and 6 and the
+    golden-output test."""
+    return standard_experiment(tmp_path_factory.mktemp("standard"))

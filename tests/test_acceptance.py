@@ -3,7 +3,8 @@
 Each test ends with a single ``ACCEPTANCE n ...: PASS`` line on stdout
 (pytest shows it with ``-s`` or on failure); a failing test means FAIL.
 The standard synthetic experiment (criteria 5 and 6) is trained once per
-session and shared between both tests.
+session (conftest's ``standard_results``) and shared between both tests and
+the golden-output test.
 """
 
 import json
@@ -12,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finite_diff, max_rel_err
+from conftest import SEEDS, finite_diff, max_rel_err
 from datforge.distort import (
     TRAIN_PROPORTIONS,
     Waveform,
@@ -22,7 +23,6 @@ from datforge.distort import (
     mix_at_snr,
     synth_corpus,
 )
-from datforge.evalharness import build_report, domain_probe
 from datforge.gradcore import Parameter, Tape
 from datforge.models import DannModel, ModelConfig
 from datforge.objectives import (
@@ -31,14 +31,7 @@ from datforge.objectives import (
     entropy_domain_loss,
     task_loss,
 )
-from datforge.pipeline import (
-    ExperimentManifest,
-    run_experiment,
-    run_sweep,
-    standard_manifest,
-    train_stages,
-    usable_cpus,
-)
+from datforge.pipeline import ExperimentManifest, run_experiment, run_sweep
 from datforge.trainer import (
     REPORTED_LAMBDAS,
     TrainConfig,
@@ -47,8 +40,6 @@ from datforge.trainer import (
     domain_indices,
     features_of,
 )
-
-SEEDS = (1, 2, 3)
 
 
 def _passed(n, label):
@@ -276,24 +267,9 @@ def test_criterion_4_distortion_calibration():
 
 
 # ---------------------------------------------------------------------------
-# criteria 5 + 6: the standard synthetic experiment (shared, trained once)
+# criteria 5 + 6: the standard synthetic experiment (conftest's standard_results,
+# trained once per session)
 # ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def standard_results():
-    start = time.monotonic()
-    per_seed = {}
-    for seed in SEEDS:
-        manifest = standard_manifest(seed)
-        trained, splits = train_stages(manifest, manifest.stages, usable_cpus())
-        results = {r.stage: r for r in trained}
-        report = build_report(trained, splits)
-        rows = {r.stage: r for r in report.rows}
-        probes = {stage: domain_probe(results[stage].model, splits).probe_acc
-                  for stage in ("baseline", "dat_only")}
-        per_seed[seed] = {"rows": rows, "probes": probes}
-    return per_seed, time.monotonic() - start
-
 
 def _majority(flags):
     return sum(bool(f) for f in flags) * 2 > len(flags)
