@@ -4,6 +4,10 @@ A ``Tape`` records every operation in creation order (which is already a
 topological order), so the backward pass is a single reversed sweep.  The
 gradient reversal node is the one piece of deliberate gradient surgery:
 identity forward, multiply-by ``-lambda`` backward.
+
+Each recording method has a backward rule of its own; compositions are
+written out, bit-exact: ``x - y`` is ``add(x, const(-y))``, and a value
+whose gradient is stopped is ``const(x.value)``.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class Tape:
     # ---- leaves ------------------------------------------------------
 
     def const(self, value) -> Node:
-        """A constant leaf: no gradient flows into it."""
+        """A constant leaf: no gradient flows into it, nor through it to what made ``value``."""
         return self._record(value)
 
     def param(self, p: Parameter) -> Node:
@@ -144,20 +148,12 @@ class Tape:
             raise ConfigError(f"grad_reverse: lambda must be > 0, got {lam}")
         return self._record(x.value, (x,), lambda g: ((-lam) * g,))
 
-    def stop_gradient(self, x: Node) -> Node:
-        return self._record(x.value, (x,), lambda g: (None,))
-
     # ---- arithmetic --------------------------------------------------
 
     def add(self, x: Node, y: Node) -> Node:
         if x.value.shape != y.value.shape:
             raise DimensionError(f"add: {x.value.shape} vs {y.value.shape}")
         return self._record(x.value + y.value, (x, y), lambda g: (g, g))
-
-    def sub(self, x: Node, y: Node) -> Node:
-        if x.value.shape != y.value.shape:
-            raise DimensionError(f"sub: {x.value.shape} vs {y.value.shape}")
-        return self._record(x.value - y.value, (x, y), lambda g: (g, -g))
 
     def mul(self, x: Node, y: Node) -> Node:
         if x.value.shape != y.value.shape:
@@ -168,9 +164,6 @@ class Tape:
     def scale(self, x: Node, c: float) -> Node:
         c = float(c)
         return self._record(x.value * c, (x,), lambda g: (g * c,))
-
-    def add_const(self, x: Node, c) -> Node:
-        return self._record(x.value + c, (x,), lambda g: (g,))
 
     def clamp(self, x: Node, lo: float, hi: float) -> Node:
         xv = x.value

@@ -37,7 +37,7 @@ def bce_domain_loss(tape: Tape, p: Node, d: np.ndarray) -> Node:
     if not np.all((d == 0.0) | (d == 1.0)):
         raise ConfigError("bce_domain_loss: labels must be binary")
     d = d.reshape(p.value.shape)
-    one_minus_p = tape.add_const(tape.scale(p, -1.0), 1.0)
+    one_minus_p = tape.add(tape.scale(p, -1.0), tape.const(np.ones_like(p.value)))
     pos = tape.mul(tape.const(d), _safe_log(tape, p))
     neg = tape.mul(tape.const(1.0 - d), _safe_log(tape, one_minus_p))
     return tape.scale(tape.sum(tape.add(pos, neg)), -1.0 / d.size)

@@ -126,18 +126,18 @@ def build_domain_loss(tape: Tape, model: DannModel, pooled, domains: np.ndarray,
     Under the entropy objective the domain head itself is still trained by
     cross entropy on true domain labels (an entropy-trained head would
     collapse), while the extractor receives the reversed entropy gradient
-    through gradient-stopped head parameters.
+    through the head's parameter values as constants.
     """
     head = model.domain_head
     if cfg.objective == "entropy":
-        head_logits = head.forward_pooled(tape, tape.stop_gradient(pooled))
+        head_logits = head.forward_pooled(tape, tape.const(pooled.value))
         onehot = objectives.one_hot(domains, model.cfg.domain_out_dim)
         ce_loss = objectives.ce_domain_loss(tape, tape.softmax_rows(head_logits), onehot)
         if not adversarial:
             return ce_loss
         reversed_pooled = tape.grad_reverse(pooled, cfg.grl_lambda)
-        w, b = tape.param(head.w), tape.param(head.b)
-        adv_logits = tape.linear(reversed_pooled, tape.stop_gradient(w), tape.stop_gradient(b))
+        adv_logits = tape.linear(reversed_pooled, tape.const(head.w.value),
+                                 tape.const(head.b.value))
         ent_loss = objectives.entropy_domain_loss(tape, tape.softmax_rows(adv_logits))
         return tape.add(ce_loss, ent_loss)
     if adversarial:
@@ -246,7 +246,7 @@ def continual_pretrain(model: DannModel, continual_set: list[Clip],
             tape = Tape()
             h = model.extractor.forward(tape, tape.const(np.concatenate(xs, axis=0)))
             pred = tape.linear(h, tape.param(dec_w), tape.param(dec_b))
-            diff = tape.sub(pred, tape.const(target))
+            diff = tape.add(pred, tape.const(-target))
             loss = tape.mean(tape.mul(diff, diff))
             losses.append(float(loss.value))
             _check_finite(stage, epoch, step, L_continual=losses[-1])

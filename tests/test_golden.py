@@ -84,7 +84,8 @@ def _report_json_digest(path: Path) -> str:
     """sha256 of ``report.json`` as ``write_report_json`` lays it out, without ``created_at``."""
     payload = json.loads(path.read_text())
     del payload["metadata"]["created_at"]
-    return hashlib.sha256((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
+    canonical = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def small_digests(root: Path) -> dict:

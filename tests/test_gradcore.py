@@ -212,7 +212,7 @@ class TestOptimizer:
         opt = Optimizer([p], {"feature_extractor": 0.1})
         for _ in range(100):
             tape = Tape()
-            diff = tape.add_const(tape.param(p), -3.0)
+            diff = tape.add(tape.param(p), tape.const([-3.0]))
             tape.backward(tape.sum(tape.mul(diff, diff)))
             opt.step()
         assert abs(p.value[0] - 3.0) < 0.05
@@ -305,6 +305,28 @@ class TestGradientFidelity:
         pooled = tape.mean_pool_segments(tape.param(xp), lengths)
         tape.backward(tape.sum(tape.mul(pooled, pooled)))
         assert max_rel_err(xp.grad, finite_diff(loss_of, x)) < 1e-4
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_matrix(), st.integers(0, 2**31 - 1))
+    def test_compositions_match_numpy_and_pass_the_upstream_gradient(self, x, seed):
+        # x - y, 1 - p and a stopped gradient, as the tape writes them without ops of their own
+        rng = np.random.default_rng(seed)
+        y, g = rng.uniform(-2.0, 2.0, x.shape), rng.uniform(-2.0, 2.0, x.shape)
+        p = rng.uniform(0.0, 1.0, x.shape)
+        xp, pp = make_param(x, name="x"), make_param(p, name="p")
+        tape = Tape()
+        xn, pn = tape.param(xp), tape.param(pp)
+        diff = tape.add(xn, tape.const(-y))
+        one_minus_p = tape.add(tape.scale(pn, -1.0), tape.const(np.ones_like(p)))
+        stopped = tape.const(xn.value)
+        assert np.array_equal(diff.value, x - y)
+        assert np.array_equal(one_minus_p.value, 1 - p)
+        assert np.array_equal(stopped.value, x)
+        upstream = tape.const(g)
+        terms = [tape.sum(tape.mul(n, upstream)) for n in (diff, one_minus_p, stopped)]
+        tape.backward(tape.add(tape.add(terms[0], terms[1]), terms[2]))
+        assert np.array_equal(xp.grad, g)  # from diff alone: none flows through stopped
+        assert np.array_equal(pp.grad, -g)
 
     @settings(max_examples=20, deadline=None)
     @given(small_matrix(min_dim=2, max_dim=4))
