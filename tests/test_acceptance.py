@@ -11,7 +11,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from conftest import SEEDS, finite_diff, max_rel_err
 from datforge.distort import (

@@ -114,9 +114,9 @@ def _golden() -> dict:
 
 
 def _check(section: str, actual: dict):
-    golden = _golden()
-    assert platform() == golden["platform"], (
-        f"tests/golden.json was recorded on {golden['platform']}, this is {platform()}: "
+    golden, here = _golden(), platform()
+    assert here == golden["platform"], (
+        f"tests/golden.json was recorded on {golden['platform']}, this is {here}: "
         f"the outputs may differ in their last bits here; re-record with {RECORD_COMMAND}")
     recorded = golden[section]
     moved = sorted(k for k in recorded.keys() | actual.keys()
