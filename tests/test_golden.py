@@ -1,6 +1,6 @@
 """Golden outputs: what datforge writes, pinned byte for byte in ``tests/golden.json``.
 
-Two sections are recorded:
+Three sections are recorded:
 
 - ``standard``: conftest's ``standard_results`` (the criterion-5/6
   experiment, trained once per session; nothing more is trained here): each
@@ -13,6 +13,10 @@ Two sections are recorded:
   each at jobs 1 and 2.  Its ``dat_only`` trains under ``entropy`` and its
   ``continual_plus_dat`` under ``bce``; the standard experiment trains ``ce``
   only.
+- ``distort``: each WAV and the ``manifest.jsonl`` that ``datforge distort``
+  writes under each of ``DISTORT_FLAGS``, from clips of four lengths and one
+  file that is no WAV, with the output directory in the manifest replaced by
+  ``<out>``.
 
 Float64 bits depend on the numpy build and on the kernels a ``DYNAMIC_ARCH``
 OpenBLAS picks for the CPU, so the file names the platform it was recorded
@@ -34,6 +38,8 @@ import numpy as np
 
 from conftest import PROBED_STAGES, standard_experiment, sha256_of
 from datforge import runtime
+from datforge.cli import EXIT_OK, main
+from datforge.distort import Waveform, synth_corpus, write_wav
 from datforge.pipeline import ExperimentManifest, run_experiment, run_probe, run_sweep
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -60,6 +66,14 @@ SMALL_MANIFEST = {
 # each sweep runs under the objective its stage trains with in SMALL_MANIFEST
 SWEEPS = {"dat_only": "entropy", "continual_plus_dat": "bce"}
 SWEEP_LAMBDAS = [10.0, 1.0, 1e-3]
+# the flag sets of `datforge distort` that the golden file pins, by the name of their section
+DISTORT_FLAGS = {
+    "mixed": ["--kind", "mixed"],
+    "gaussian_snr5": ["--kind", "gaussian", "--snr", "5"],
+    "reverb_t60_0.001": ["--kind", "reverb", "--t60", "0.001"],
+    "additive_bank_seed4": ["--kind", "additive_bank", "--seed", "4"],
+}
+DISTORT_LENGTHS = (16000, 12000, 7000, 3000)  # samples of each input clip
 
 
 def platform() -> dict:
@@ -109,6 +123,27 @@ def small_digests(root: Path) -> dict:
     return out
 
 
+def distort_digests(root: Path) -> dict:
+    """Run ``datforge distort`` under each of ``DISTORT_FLAGS`` on one input directory
+    made under ``root``; the sha256 of what each run wrote."""
+    in_dir = root / "in"
+    in_dir.mkdir(parents=True)
+    # "broken.wav" sorts first, so the files after it are distorted under its skipped index
+    (in_dir / "broken.wav").write_bytes(b"junk")
+    for clip, n in zip(synth_corpus(2, 2, seed=30), DISTORT_LENGTHS):
+        write_wav(in_dir / f"{clip.clip_id}.wav", Waveform(clip.waveform.samples[:n]))
+    out = {}
+    for name, flags in DISTORT_FLAGS.items():
+        out_dir = root / name
+        assert main(["distort", str(in_dir), str(out_dir), *flags]) == EXIT_OK, flags
+        for p in sorted(out_dir.iterdir()):
+            data = p.read_bytes()
+            if p.name == "manifest.jsonl":
+                data = data.replace(str(out_dir).encode(), b"<out>")
+            out[f"{name}/{p.name}"] = hashlib.sha256(data).hexdigest()
+    return out
+
+
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -133,15 +168,20 @@ def test_golden_small_run_probe_and_sweeps(tmp_path):
     _check("small", small_digests(tmp_path))
 
 
+def test_golden_distort_command(tmp_path):
+    _check("distort", distort_digests(tmp_path))
+
+
 def record():
     """Rewrite ``tests/golden.json`` from this tree and platform; print what moved."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         per_seed, _ = standard_experiment(tmp / "standard")
         new = {"platform": platform(), "record": RECORD_COMMAND,
-               "standard": standard_digests(per_seed), "small": small_digests(tmp / "small")}
+               "standard": standard_digests(per_seed), "small": small_digests(tmp / "small"),
+               "distort": distort_digests(tmp / "distort")}
     old = _golden() if GOLDEN.exists() else {}
-    for section in ("platform", "standard", "small"):
+    for section in ("platform", "standard", "small", "distort"):
         before, after = old.get(section, {}), new[section]
         for key in sorted(before.keys() | after.keys()):
             if before.get(key) != after.get(key):
