@@ -19,10 +19,10 @@ from .distort import (
     TRAIN_KINDS,
     TRAIN_PROPORTIONS,
     Clip,
-    _make_spec,
-    apply_spec,
     derive_seed,
+    distort_clips,
     largest_remainder_counts,
+    make_spec,
     manifest_row,
     read_wav,
     require_t60,
@@ -126,28 +126,30 @@ def _cmd_distort(args) -> int:
         kinds = [k for k, c in zip(TRAIN_KINDS, counts) for _ in range(c)]
     else:
         kinds = [args.kind] * len(paths)
-    entries, written = [], 0
+    out_paths, clips, specs = [], [], []
     for i, (path, kind) in enumerate(zip(paths, kinds)):
         try:
-            clean = read_wav(path)
+            clips.append(Clip(path.stem, read_wav(path), None))
         except FormatError as exc:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
-        child = derive_seed(args.seed, i)
-        spec = _make_spec(kind, child, "train")
+        out_paths.append(out_dir / path.name)
+        # each file keeps the seed of its index, skipped files counted
+        spec = make_spec(kind, derive_seed(args.seed, i))
         if kind in (ADDITIVE_BANK, GAUSSIAN):
             spec = dataclasses.replace(spec, snr_db=snr)
         elif args.t60 is not None:
             spec = dataclasses.replace(spec, ir_id=args.t60)
-        distorted = Clip(path.stem, apply_spec(clean, spec), None, spec)
-        write_wav(out_dir / path.name, distorted.waveform)
-        entries.append(manifest_row(distorted, "distorted", str(out_dir / path.name)))
-        written += 1
-    if written == 0:
+        specs.append(spec)
+    if not clips:
         print("error: all input files were skipped", file=sys.stderr)
         return EXIT_RUNTIME
+    entries = []
+    for out_path, clip in zip(out_paths, distort_clips(clips, specs)):
+        write_wav(out_path, clip.waveform)
+        entries.append(manifest_row(clip, "distorted", str(out_path)))
     write_manifest(out_dir / "manifest.jsonl", entries)
-    print(f"distorted {written}/{len(paths)} files into {out_dir}")
+    print(f"distorted {len(clips)}/{len(paths)} files into {out_dir}")
     return EXIT_OK
 
 

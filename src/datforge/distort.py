@@ -90,10 +90,13 @@ class DistortionSpec:
     seed: int
     snr_db: float | None = None
     ir_id: float | None = None  # reverb decay T60 in seconds
+    pool: str = "train"  # "train" for the distortions training sees; "unseen" for the rest
 
     def __post_init__(self):
         if self.kind not in (*TRAIN_KINDS, CLEAN):
             raise ValueError(f"unknown distortion kind {self.kind!r}")
+        if self.pool not in ("train", "unseen"):
+            raise ValueError(f"unknown distortion pool {self.pool!r}")
         additive = self.kind in (ADDITIVE_BANK, GAUSSIAN)
         if additive != (self.snr_db is not None):
             raise ValueError(f"snr_db must be present iff kind is additive (kind={self.kind})")
@@ -104,8 +107,9 @@ class DistortionSpec:
 @dataclass
 class Clip:
     """A clip of any split: ``label`` is None where the class is hidden (T, the
-    continual set), ``spec`` the distortion applied (None for a clean corpus
-    clip), and ``clean`` the undistorted input of a continual clip."""
+    continual set), ``spec`` the distortion that ``apply_spec`` reproduces the
+    clip with from its source (None for a clean corpus clip), and ``clean`` the
+    undistorted input of a continual clip."""
 
     clip_id: str
     waveform: Waveform
@@ -224,35 +228,23 @@ def _am_narrowband(n, rng):
     return carrier * mod
 
 
-def _with_broadband_bed(gen):
-    # each generator keeps its character on top of a broadband bed, like real
-    # recorded noise; purely narrowband noise would leave most feature bands
-    # at the silence floor
-    def wrapped(n, rng):
-        character = gen(n, rng)
-        rms = np.sqrt(np.mean(character**2)) or 1.0
-        return character + 0.6 * rms * rng.standard_normal(n)
-
-    return wrapped
-
-
-_NOISE_GENERATORS = {
-    "babble": _with_broadband_bed(_tone_burst_babble),
-    "bandnoise": _with_broadband_bed(_band_noise),
-    "clicks": _with_broadband_bed(_clicks),
-    "chirp": _with_broadband_bed(_chirp),
-    "am_narrowband": _with_broadband_bed(_am_narrowband),
-}
+_NOISE_GENERATORS = {"babble": _tone_burst_babble, "bandnoise": _band_noise, "clicks": _clicks,
+                     "chirp": _chirp, "am_narrowband": _am_narrowband}
 
 
 class ProceduralNoiseBank:
     """Deterministic stand-in for a real noise corpus, with disjoint seen/unseen pools."""
 
     def draw(self, pool: str, n: int, seed: int) -> tuple[np.ndarray, str]:
-        families = TRAIN_NOISE_FAMILIES if pool == "train" else UNSEEN_NOISE_FAMILIES
+        families = {"train": TRAIN_NOISE_FAMILIES, "unseen": UNSEEN_NOISE_FAMILIES}[pool]
         rng = np.random.default_rng(seed)
         name = families[int(rng.integers(len(families)))]
-        return _NOISE_GENERATORS[name](n, rng), name
+        # each generator keeps its character on top of a broadband bed, like real
+        # recorded noise; purely narrowband noise would leave most feature bands
+        # at the silence floor
+        character = _NOISE_GENERATORS[name](n, rng)
+        rms = np.sqrt(np.mean(character**2)) or 1.0
+        return character + 0.6 * rms * rng.standard_normal(n), name
 
 
 class WavNoiseBank:
@@ -268,8 +260,8 @@ class WavNoiseBank:
                 samples = read_wav(p).samples  # 16 kHz, mono, 16-bit
             except FormatError as exc:
                 raise ConfigError(f"noise WAV unusable: {exc}") from exc
-            if not np.any(samples):
-                raise ConfigError(f"noise WAV {p} is silent (all samples zero)")
+            if not np.any(samples[:DEFAULT_SR]):  # all that a draw for a one-second clip reads
+                raise ConfigError(f"noise WAV {p} is silent in its first second")
             digest = hashlib.sha256(p.name.encode()).digest()
             self.pools["train" if digest[0] % 2 == 0 else "unseen"].append((p.name, samples))
         for pool, clips in self.pools.items():
@@ -360,15 +352,16 @@ def apply_reverb(clean: Waveform, ir: np.ndarray) -> Waveform:
     return _peak_normalize(out)
 
 
-def apply_spec(clean: Waveform, spec: DistortionSpec, bank=None, pool: str = "train") -> Waveform:
-    """Materialize one distortion spec deterministically."""
+def apply_spec(clean: Waveform, spec: DistortionSpec, bank=None) -> Waveform:
+    """Materialize one distortion spec deterministically, additive noise drawn from
+    ``spec.pool`` of ``bank`` (the procedural bank if None)."""
     if spec.kind == CLEAN:
         return clean
     if spec.kind == GAUSSIAN:
         return add_gaussian(clean, spec.snr_db, spec.seed)
     if spec.kind == ADDITIVE_BANK:
         bank = bank or ProceduralNoiseBank()
-        noise, _name = bank.draw(pool, clean.samples.size, spec.seed)
+        noise, _name = bank.draw(spec.pool, clean.samples.size, spec.seed)
         return mix_at_snr(clean, noise, spec.snr_db)
     ir = make_impulse_response(spec.ir_id, spec.seed, clean.samples.size)
     return apply_reverb(clean, ir)
@@ -395,25 +388,26 @@ def _assign_kinds(n: int, kinds, proportions, rng) -> list[str]:
     return [assignment[i] for i in rng.permutation(n)]
 
 
-def _make_spec(kind: str, seed: int, pool: str) -> DistortionSpec:
-    """The spec of one clip, its SNR or T60 drawn from ``default_rng(seed)``."""
+def make_spec(kind: str, seed: int, pool: str = "train") -> DistortionSpec:
+    """The spec of one clip from ``pool``, its SNR or T60 drawn from ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
+    snr_db = ir_id = None
     if kind in (ADDITIVE_BANK, GAUSSIAN):
-        return DistortionSpec(kind, seed, snr_db=float(rng.uniform(*SNR_RANGE_DB)))
-    if kind == REVERB:
+        snr_db = float(rng.uniform(*SNR_RANGE_DB))
+    elif kind == REVERB:
         t60s = TRAIN_T60S if pool == "train" else UNSEEN_T60S
-        return DistortionSpec(kind, seed, ir_id=float(t60s[int(rng.integers(len(t60s)))]))
-    return DistortionSpec(CLEAN, seed)
+        ir_id = float(t60s[int(rng.integers(len(t60s)))])
+    return DistortionSpec(kind, seed, snr_db, ir_id, pool)
 
 
-def _distort_clips(clips, kinds, seed, bank, pool) -> list[Clip]:
-    out = []
-    for i, (clip, kind) in enumerate(zip(clips, kinds)):
-        child = derive_seed(seed, i)
-        spec = _make_spec(kind, child, pool)
-        wav = apply_spec(clip.waveform, spec, bank, pool)
-        out.append(Clip(clip.clip_id, wav, clip.label, spec))
-    return out
+def _specs(kinds, seed: int, pool: str) -> list[DistortionSpec]:
+    return [make_spec(kind, derive_seed(seed, i), pool) for i, kind in enumerate(kinds)]
+
+
+def distort_clips(clips: list[Clip], specs: list[DistortionSpec], bank=None) -> list[Clip]:
+    """Each clip distorted by its spec, its id, label and ``clean`` kept."""
+    return [replace(clip, waveform=apply_spec(clip.waveform, spec, bank), spec=spec)
+            for clip, spec in zip(clips, specs)]
 
 
 def _split_draws(n_train: int, n_test: int, seed: int):
@@ -439,8 +433,8 @@ def build_splits(corpus: list[Clip], seed: int, noise_bank=None) -> CorpusSplit:
     half = len(corpus) // 2
     s_clips = [corpus[i] for i in (*perm[:half], *perm[2 * half:])]
     t_clips = [corpus[i] for i in perm[half : 2 * half]]
-    target = [replace(c, label=None)
-              for c in _distort_clips(t_clips, kinds, derive_seed(seed, 1), noise_bank, "train")]
+    target = distort_clips([replace(c, label=None) for c in t_clips],
+                           _specs(kinds, derive_seed(seed, 1), "train"), noise_bank)
     return CorpusSplit(s_clips, target, [], [], [], _target_labels=[c.label for c in t_clips])
 
 
@@ -450,9 +444,10 @@ def with_test_sets(split: CorpusSplit, test_corpus: list[Clip], seed: int,
     ``build_splits`` made for ``split`` with the same ``seed``."""
     _, _, seen_kinds, unseen_kinds = _split_draws(len(split.S) + len(split.T), len(test_corpus),
                                                   seed)
-    test_seen = _distort_clips(test_corpus, seen_kinds, derive_seed(seed, 2), noise_bank, "train")
-    test_unseen = _distort_clips(test_corpus, unseen_kinds, derive_seed(seed, 3), noise_bank,
-                                 "unseen")
+    test_seen = distort_clips(test_corpus, _specs(seen_kinds, derive_seed(seed, 2), "train"),
+                              noise_bank)
+    test_unseen = distort_clips(test_corpus, _specs(unseen_kinds, derive_seed(seed, 3), "unseen"),
+                                noise_bank)
     return replace(split, test_clean=list(test_corpus), test_seen=test_seen,
                    test_unseen=test_unseen)
 
@@ -461,13 +456,9 @@ def build_continual_set(waveforms: list[Waveform], seed: int, noise_bank=None) -
     """Unlabeled continual-training set: distortion kinds + clean in 0.25 proportions each."""
     rng = np.random.default_rng(derive_seed(seed, 0))
     kinds = _assign_kinds(len(waveforms), CONTINUAL_KINDS, CONTINUAL_PROPORTIONS, rng)
-    out = []
-    for i, (wav, kind) in enumerate(zip(waveforms, kinds)):
-        child = derive_seed(seed, 1, i)
-        spec = _make_spec(kind, child, "train")
-        distorted = apply_spec(wav, spec, noise_bank, "train")
-        out.append(Clip(f"cont-{i:05d}", distorted, None, spec, clean=wav))
-    return out
+    return distort_clips([Clip(f"cont-{i:05d}", w, None, clean=w) for i, w in enumerate(waveforms)],
+                         [make_spec(k, derive_seed(seed, 1, i)) for i, k in enumerate(kinds)],
+                         noise_bank)
 
 
 # ---------------------------------------------------------------------------

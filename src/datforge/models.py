@@ -184,6 +184,8 @@ def load_checkpoint(path) -> list[tuple[str, str, np.ndarray]]:
             if len(parts) < 3 or parts[0] != "param":
                 raise FormatError(f"{path}: bad checkpoint entry line: {meta!r}")
             name, group = parts[1], parts[2]
+            if any(name == seen for seen, _group, _value in entries):
+                raise FormatError(f"{path}: parameter {name!r} appears twice")
             try:
                 shape = tuple(int(s) for s in parts[3:])
                 values = np.array([float.fromhex(v) for v in f.readline().split()])

@@ -6,12 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from datforge.distort import build_splits, synth_corpus, with_test_sets
+from datforge.distort import DEFAULT_SR, build_splits, synth_corpus, with_test_sets
 from datforge.evalharness import build_report, domain_probe, write_report_csv
 from datforge.pipeline import standard_manifest, train_stages, usable_cpus, write_training_log
 
 SEEDS = (1, 2, 3)  # the seeds of the standard experiment that criteria 5 and 6 read
 PROBED_STAGES = ("baseline", "dat_only")
+# noise a draw for a one-second clip finds silent: zero throughout, or zero for its first second
+SILENT_NOISE = {"all-zero": np.zeros(1600),
+                "first-second-zero": np.r_[np.zeros(DEFAULT_SR), 0.1 * np.ones(DEFAULT_SR)]}
 
 
 def finite_diff(f, x, eps=1e-6):

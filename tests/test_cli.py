@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import SILENT_NOISE
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -411,10 +412,11 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    @pytest.mark.parametrize("samples", SILENT_NOISE.values(), ids=SILENT_NOISE)
     def test_silent_noise_wav_is_config_error_before_training(self, tmp_path, capsys, command,
-                                                              dry_run):
+                                                              dry_run, samples):
         noise = _noise_dir(tmp_path)
-        write_wav(noise / "silent.wav", Waveform(np.zeros(1600)))
+        write_wav(noise / "silent.wav", Waveform(samples))
         payload = dict(TINY_MANIFEST, output_dir=str(tmp_path / "out"))
         payload["corpus"] = dict(TINY_MANIFEST["corpus"], noise_wav_dir=str(noise))
         path = tmp_path / "m.json"

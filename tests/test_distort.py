@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import write_pcm_wav
+from conftest import SILENT_NOISE, write_pcm_wav
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +22,9 @@ from datforge.distort import (
     TRAIN_KINDS,
     TRAIN_NOISE_FAMILIES,
     TRAIN_PROPORTIONS,
+    TRAIN_T60S,
     UNSEEN_NOISE_FAMILIES,
+    UNSEEN_T60S,
     Clip,
     DistortionSpec,
     ProceduralNoiseBank,
@@ -38,11 +40,13 @@ from datforge.distort import (
     featurize,
     largest_remainder_counts,
     make_impulse_response,
+    make_spec,
     manifest_entries,
     mix_at_snr,
     read_wav,
     snr_gain,
     synth_corpus,
+    with_test_sets,
     write_manifest,
     write_wav,
 )
@@ -50,6 +54,14 @@ from datforge.errors import ConfigError, FormatError, PolicyError
 from datforge.evalharness import evaluate
 from datforge.models import DannModel, ModelConfig
 from datforge.trainer import TrainConfig, train_supervised
+
+
+def assert_reproduced(clips, sources, bank=None):
+    """Each clip is ``apply_spec`` of its source waveform (``sources[clip_id]``) under
+    its spec, with nothing passed beside the spec but the bank."""
+    for clip in clips:
+        expected = apply_spec(sources[clip.clip_id], clip.spec, bank)
+        assert np.array_equal(clip.waveform.samples, expected.samples), clip.clip_id
 
 
 def measured_snr_db(mixed: Waveform, clean: Waveform) -> float:
@@ -196,6 +208,21 @@ class TestDistortionSpec:
         out = apply_spec(clip.waveform, DistortionSpec(CLEAN, seed=0))
         assert np.array_equal(out.samples, clip.waveform.samples)
 
+    @pytest.mark.parametrize("pool", ["tran", "Unseen ", "seen", ""])
+    def test_unknown_pool_rejected(self, pool):
+        with pytest.raises(ValueError, match=f"unknown distortion pool {pool!r}"):
+            DistortionSpec(GAUSSIAN, seed=0, snr_db=15.0, pool=pool)
+        with pytest.raises(ValueError, match=f"unknown distortion pool {pool!r}"):
+            make_spec(REVERB, 9, pool)
+        with pytest.raises(KeyError):
+            ProceduralNoiseBank().draw(pool, 1600, 0)
+
+    @pytest.mark.parametrize("pool, t60s", [("train", TRAIN_T60S), ("unseen", UNSEEN_T60S)])
+    def test_spec_records_its_pool(self, pool, t60s):
+        specs = [make_spec(kind, seed, pool) for kind in CONTINUAL_KINDS for seed in range(20)]
+        assert {s.pool for s in specs} == {pool}
+        assert {s.ir_id for s in specs if s.kind == REVERB} == set(t60s)
+
 
 class TestNoiseBank:
     def test_pools_draw_disjoint_families(self):
@@ -235,8 +262,22 @@ class TestWavNoiseBank:
         for (a, fa), (b, fb) in zip(before, after):
             assert fa == fb and a.shape == (4000,) and np.array_equal(a, b)
 
-    def test_silent_wav_rejected_when_built(self, noise_dir):
-        write_wav(noise_dir / "silent.wav", Waveform(np.zeros(1600)))
+    def test_every_clip_is_its_spec_applied(self, noise_dir):
+        bank = WavNoiseBank(noise_dir)
+        corpus = synth_corpus(3, 4, seed=11)
+        test = synth_corpus(2, 4, seed=12, id_prefix="test")
+        split = with_test_sets(build_splits(corpus, 5, bank), test, 5, bank)
+        cont = build_continual_set([c.waveform for c in corpus], 3, bank)
+        sources = {c.clip_id: c.waveform for c in corpus + test}
+        for clips in (split.T, split.test_seen, split.test_unseen):
+            assert_reproduced(clips, sources, bank)
+        assert_reproduced(cont, {c.clip_id: c.clean for c in cont}, bank)
+        distorted = split.T + split.test_seen + split.test_unseen + cont
+        assert {c.spec.pool for c in distorted if c.kind == ADDITIVE_BANK} == {"train", "unseen"}
+
+    @pytest.mark.parametrize("samples", SILENT_NOISE.values(), ids=SILENT_NOISE)
+    def test_silent_wav_rejected_when_built(self, noise_dir, samples):
+        write_wav(noise_dir / "silent.wav", Waveform(samples))
         with pytest.raises(ConfigError, match="silent.wav"):
             WavNoiseBank(noise_dir)
 
@@ -317,11 +358,10 @@ class TestBuildSplits:
 
     @pytest.mark.parametrize("name", DISTORTED_SETS)
     def test_waveform_is_its_spec_applied(self, small_corpus, small_splits, name):
-        pool = DISTORTED_SETS[name][2]
-        source = {c.clip_id: c for c in small_corpus + small_splits.test_clean}
-        for clip in getattr(small_splits, name):
-            expected = apply_spec(source[clip.clip_id].waveform, clip.spec, None, pool)
-            assert np.array_equal(clip.waveform.samples, expected.samples)
+        clips = getattr(small_splits, name)
+        assert {c.spec.pool for c in clips} == {DISTORTED_SETS[name][2]}
+        assert_reproduced(clips, {c.clip_id: c.waveform
+                                  for c in small_corpus + small_splits.test_clean})
 
     def test_labels_hidden_behind_policy(self, small_corpus, small_splits):
         with pytest.raises(PolicyError):
@@ -370,6 +410,13 @@ class TestContinualSet:
         counts = collections.Counter(c.kind for c in cont)
         expected = largest_remainder_counts(len(waves), (0.25, 0.25, 0.25, 0.25))
         assert [counts[k] for k in CONTINUAL_KINDS] == expected
+
+    def test_waveform_is_its_spec_applied(self):
+        waves = [c.waveform for c in synth_corpus(4, 4, seed=14)]
+        cont = build_continual_set(waves, seed=3)
+        assert all(c.clean is w for c, w in zip(cont, waves))
+        assert {c.spec.pool for c in cont} == {"train"}
+        assert_reproduced(cont, {c.clip_id: c.clean for c in cont})
 
     def test_clean_entries_match_target(self):
         waves = [c.waveform for c in synth_corpus(4, 4, seed=14)]

@@ -229,6 +229,22 @@ class TestCheckpoint:
         for p, value in zip(model.parameters(), before):
             assert np.array_equal(p.value, value), p.name
 
+    def test_parameter_named_twice_rejected(self, cfg, tmp_path):
+        path = tmp_path / "twice.ckpt"
+        DannModel(cfg, seed=7).save(path)
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith("param f.l1.W ")
+        twos = " ".join((2.0).hex() for _ in lines[2].split())
+        path.write_text("\n".join([*lines, lines[1], twos]) + "\n")  # a second f.l1.W, last
+        model = DannModel(cfg, seed=99)
+        before = [p.value.copy() for p in model.parameters()]
+        for load in (load_checkpoint, model.load):
+            with pytest.raises(FormatError, match=re.escape(
+                    f"{path}: parameter 'f.l1.W' appears twice")):
+                load(path)
+        for p, value in zip(model.parameters(), before):
+            assert np.array_equal(p.value, value), p.name
+
 
 def test_init_scale_tracks_fan_in():
     cfg = ModelConfig(input_dim=400, hidden_dim=400, feature_dim=4, n_classes=3, n_domains=2)
