@@ -20,8 +20,8 @@ from .distort import (
     TRAIN_PROPORTIONS,
     Clip,
     derive_seed,
-    distort_clips,
     largest_remainder_counts,
+    make_clip,
     make_spec,
     manifest_row,
     read_wav,
@@ -126,30 +126,27 @@ def _cmd_distort(args) -> int:
         kinds = [k for k, c in zip(TRAIN_KINDS, counts) for _ in range(c)]
     else:
         kinds = [args.kind] * len(paths)
-    out_paths, clips, specs = [], [], []
+    entries = []
     for i, (path, kind) in enumerate(zip(paths, kinds)):
         try:
-            clips.append(Clip(path.stem, read_wav(path), None))
+            clip = Clip(path.stem, read_wav(path), None)
         except FormatError as exc:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
-        out_paths.append(out_dir / path.name)
         # each file keeps the seed of its index, skipped files counted
         spec = make_spec(kind, derive_seed(args.seed, i))
         if kind in (ADDITIVE_BANK, GAUSSIAN):
             spec = dataclasses.replace(spec, snr_db=snr)
         elif args.t60 is not None:
             spec = dataclasses.replace(spec, ir_id=args.t60)
-        specs.append(spec)
-    if not clips:
+        clip = make_clip(clip, spec)
+        write_wav(out_dir / path.name, clip.waveform)
+        entries.append(manifest_row(clip, "distorted", str(out_dir / path.name)))
+    if not entries:
         print("error: all input files were skipped", file=sys.stderr)
         return EXIT_RUNTIME
-    entries = []
-    for out_path, clip in zip(out_paths, distort_clips(clips, specs)):
-        write_wav(out_path, clip.waveform)
-        entries.append(manifest_row(clip, "distorted", str(out_path)))
     write_manifest(out_dir / "manifest.jsonl", entries)
-    print(f"distorted {len(clips)}/{len(paths)} files into {out_dir}")
+    print(f"distorted {len(entries)}/{len(paths)} files into {out_dir}")
     return EXIT_OK
 
 
@@ -158,23 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Distortion-robust training experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_manifest_args(p):
+    for name, fn, text in (("run", _cmd_run, "run the manifest's stages and write reports"),
+                           ("sweep", _cmd_sweep, "run the gradient-reversal weight sweep"),
+                           ("probe", _cmd_probe, "measure residual domain info in frozen features")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--manifest", required=True, help="experiment manifest JSON path")
         p.add_argument("--seed", type=int, default=None, help="override the manifest seed")
         p.add_argument("--dry-run", action="store_true",
                        help="validate and print the plan without touching files")
-
-    p_run = sub.add_parser("run", help="run the manifest's stages and write reports")
-    add_manifest_args(p_run)
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run the gradient-reversal weight sweep")
-    add_manifest_args(p_sweep)
-    p_sweep.set_defaults(fn=_cmd_sweep)
-
-    p_probe = sub.add_parser("probe", help="measure residual domain info in frozen features")
-    add_manifest_args(p_probe)
-    p_probe.set_defaults(fn=_cmd_probe)
+        p.set_defaults(fn=fn)
 
     p_dist = sub.add_parser("distort", help="apply a distortion recipe to a WAV directory")
     p_dist.add_argument("in_dir")
@@ -194,12 +183,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DatforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
     except Exception as exc:  # runtime failure, keep the message human-readable
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -12,7 +12,7 @@ import hashlib
 import json
 import wave as _wave
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,6 @@ def derive_seed(seed: int, *key: int) -> int:
 class Waveform:
     samples: np.ndarray
     gain_applied: float = 1.0  # peak-normalization gain, 1.0 if none
-    _features: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -61,20 +60,12 @@ class Waveform:
     def power(self) -> float:
         return float(np.mean(self.samples**2))
 
-    @property
+    @cached_property
     def features(self) -> np.ndarray:
         """``featurize(self)``, computed on first use and kept, read-only, while the clip lives."""
-        if self._features is None:
-            feats = featurize(self)
-            feats.flags.writeable = False
-            self._features = feats
-        return self._features
-
-    def release(self):
-        """Keep ``features`` and free the samples; any later read of them (``featurize``,
-        ``power``, a mix) raises ``AttributeError``.  Releasing twice does nothing more."""
-        self.features
-        self.__dict__.pop("samples", None)
+        feats = featurize(self)
+        feats.flags.writeable = False
+        return feats
 
 
 def _peak_normalize(samples: np.ndarray) -> Waveform:
@@ -152,25 +143,41 @@ def class_fundamental_hz(label: int) -> float:
     return 220.0 * 2.0 ** (label / 4.0)
 
 
+@dataclass(frozen=True)
+class ToneCorpus:
+    """Balanced clean one-second tone-pair corpus, each clip synthesized when it is read: clip
+    ``idx`` is a fundamental + 3rd harmonic of class ``idx // n_per_class``.  The builders
+    make every clip of one source before reading the next, so one source's samples at most
+    are alive at a time unless they keep samples."""
+
+    n_per_class: int
+    classes: int
+    seed: int
+    id_prefix: str = "clip"
+
+    def __len__(self) -> int:
+        return self.classes * self.n_per_class
+
+    def __getitem__(self, idx: int) -> Clip:
+        if not 0 <= idx < len(self):
+            raise IndexError(f"clip {idx} of a {len(self)}-clip corpus")
+        label, t = idx // self.n_per_class, np.arange(DEFAULT_SR) / DEFAULT_SR
+        f0 = class_fundamental_hz(label)
+        rng = np.random.default_rng(derive_seed(self.seed, idx))
+        amp = rng.uniform(0.3, 0.8)
+        ph1, ph2 = rng.uniform(0.0, 2 * np.pi, size=2)
+        raw = np.sin(2 * np.pi * f0 * t + ph1) + 0.5 * np.sin(2 * np.pi * 3 * f0 * t + ph2)
+        env = 0.85 + 0.15 * np.sin(2 * np.pi * rng.uniform(1.0, 3.0) * t + rng.uniform(0, 2 * np.pi))
+        samples = amp * env * raw / np.max(np.abs(raw))
+        return Clip(f"{self.id_prefix}-{idx:05d}", Waveform(samples), label)
+
+
 def synth_corpus(n_per_class: int, classes: int, seed: int,
                  id_prefix: str = "clip") -> list[Clip]:
-    """Balanced clean one-second tone-pair corpus: fundamental + 3rd harmonic per class."""
+    """Every clip of ``ToneCorpus(n_per_class, classes, seed, id_prefix)``, synthesized now."""
     if classes < 2 or n_per_class < 1:
         raise ValueError("need classes >= 2 and n_per_class >= 1")
-    t = np.arange(DEFAULT_SR) / DEFAULT_SR
-    clips = []
-    for label in range(classes):
-        f0 = class_fundamental_hz(label)
-        ramp1, ramp3 = 2 * np.pi * f0 * t, 2 * np.pi * 3 * f0 * t  # phase ramps of the class
-        for idx in range(label * n_per_class, (label + 1) * n_per_class):
-            rng = np.random.default_rng(derive_seed(seed, idx))
-            amp = rng.uniform(0.3, 0.8)
-            ph1, ph2 = rng.uniform(0.0, 2 * np.pi, size=2)
-            raw = np.sin(ramp1 + ph1) + 0.5 * np.sin(ramp3 + ph2)
-            env = 0.85 + 0.15 * np.sin(2 * np.pi * rng.uniform(1.0, 3.0) * t + rng.uniform(0, 2 * np.pi))
-            samples = amp * env * raw / np.max(np.abs(raw))
-            clips.append(Clip(f"{id_prefix}-{idx:05d}", Waveform(samples), label))
-    return clips
+    return list(ToneCorpus(n_per_class, classes, seed, id_prefix))
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +411,19 @@ def _specs(kinds, seed: int, pool: str) -> list[DistortionSpec]:
     return [make_spec(kind, derive_seed(seed, i), pool) for i, kind in enumerate(kinds)]
 
 
-def distort_clips(clips: list[Clip], specs: list[DistortionSpec], bank=None) -> list[Clip]:
-    """Each clip distorted by its spec, its id, label and ``clean`` kept."""
-    return [replace(clip, waveform=apply_spec(clip.waveform, spec, bank), spec=spec)
-            for clip, spec in zip(clips, specs)]
+def make_clip(source: Clip, spec: DistortionSpec | None, bank=None,
+              keep_samples: bool = True) -> Clip:
+    """The clip ``spec`` makes of ``source`` (``source`` itself for None), its id, label and
+    ``clean`` kept.  Unless ``keep_samples``, its waveform and ``clean`` input keep only their
+    features, and any later read of their samples raises ``AttributeError``."""
+    clip = source if spec is None else replace(
+        source, waveform=apply_spec(source.waveform, spec, bank), spec=spec)
+    if not keep_samples:
+        for w in (clip.waveform, clip.clean):
+            if w is not None:
+                w.features
+                w.__dict__.pop("samples", None)  # a clean continual clip is its own input
+    return clip
 
 
 def _split_draws(n_train: int, n_test: int, seed: int):
@@ -421,44 +437,50 @@ def _split_draws(n_train: int, n_test: int, seed: int):
     return perm, t_kinds, seen_kinds, unseen_kinds
 
 
-def build_splits(corpus: list[Clip], seed: int, noise_bank=None) -> CorpusSplit:
-    """50/50 clean/noisy split of the training corpus, with empty test sets.
+def build_splits(corpus, seed: int, noise_bank=None, keep_samples: bool = True) -> CorpusSplit:
+    """50/50 clean/noisy split of the training corpus, the clip left over from an odd-sized
+    one in S, with empty test sets: ``with_test_sets`` adds them."""
+    n = len(corpus)
+    if n < MIN_SPLIT_CLIPS:
+        raise ValueError(f"corpus too small to split ({n} < {MIN_SPLIT_CLIPS})")
+    perm, kinds, _, _ = _split_draws(n, 0, seed)
+    t_specs = dict(zip(perm[n // 2 : 2 * (n // 2)].tolist(),
+                       _specs(kinds, derive_seed(seed, 1), "train")))
+    split = CorpusSplit([], [], [], [], [])
+    for idx in perm.tolist():  # S's and T's clips in the permutation's order
+        clip, spec = corpus[idx], t_specs.get(idx)
+        if spec is not None:
+            split._target_labels.append(clip.label)
+            clip = replace(clip, label=None)
+        clip = make_clip(clip, spec, noise_bank, keep_samples)  # the source is freed here
+        (split.S if spec is None else split.T).append(clip)
+    return split
 
-    The clip left over from an odd-sized corpus goes to S.  ``with_test_sets``
-    adds the three test sets.
-    """
-    if len(corpus) < MIN_SPLIT_CLIPS:
-        raise ValueError(f"corpus too small to split ({len(corpus)} < {MIN_SPLIT_CLIPS})")
-    perm, kinds, _, _ = _split_draws(len(corpus), 0, seed)
-    half = len(corpus) // 2
-    s_clips = [corpus[i] for i in (*perm[:half], *perm[2 * half:])]
-    t_clips = [corpus[i] for i in perm[half : 2 * half]]
-    target = distort_clips([replace(c, label=None) for c in t_clips],
-                           _specs(kinds, derive_seed(seed, 1), "train"), noise_bank)
-    return CorpusSplit(s_clips, target, [], [], [], _target_labels=[c.label for c in t_clips])
 
-
-def with_test_sets(split: CorpusSplit, test_corpus: list[Clip], seed: int,
-                   noise_bank=None) -> CorpusSplit:
+def with_test_sets(split: CorpusSplit, test_corpus, seed: int, noise_bank=None,
+                   keep_samples: bool = True) -> CorpusSplit:
     """``split`` with the three test sets of ``test_corpus``, drawn after the draws
-    ``build_splits`` made for ``split`` with the same ``seed``."""
-    _, _, seen_kinds, unseen_kinds = _split_draws(len(split.S) + len(split.T), len(test_corpus),
-                                                  seed)
-    test_seen = distort_clips(test_corpus, _specs(seen_kinds, derive_seed(seed, 2), "train"),
-                              noise_bank)
-    test_unseen = distort_clips(test_corpus, _specs(unseen_kinds, derive_seed(seed, 3), "unseen"),
-                                noise_bank)
-    return replace(split, test_clean=list(test_corpus), test_seen=test_seen,
-                   test_unseen=test_unseen)
+    ``build_splits`` made for ``split`` with the same ``seed``: each source clip is
+    ``test_clean``'s, and gives one ``test_seen`` and one ``test_unseen`` clip."""
+    _, _, seen, unseen = _split_draws(len(split.S) + len(split.T), len(test_corpus), seed)
+    specs = zip(_specs(seen, derive_seed(seed, 2), "train"),
+                _specs(unseen, derive_seed(seed, 3), "unseen"))
+    sets = ([], [], [])  # seen, unseen, clean: the clean clip is made last, from its samples
+    for pair, source in zip(specs, test_corpus):
+        for part, spec in zip(sets, (*pair, None)):
+            part.append(make_clip(source, spec, noise_bank, keep_samples))
+    return replace(split, test_seen=sets[0], test_unseen=sets[1], test_clean=sets[2])
 
 
-def build_continual_set(waveforms: list[Waveform], seed: int, noise_bank=None) -> list[Clip]:
-    """Unlabeled continual-training set: distortion kinds + clean in 0.25 proportions each."""
+def build_continual_set(corpus, seed: int, noise_bank=None,
+                        keep_samples: bool = True) -> list[Clip]:
+    """Unlabeled continual-training set of ``corpus``'s clips: distortion kinds + clean in
+    0.25 proportions each, each clip's undistorted input kept as its ``clean`` target."""
     rng = np.random.default_rng(derive_seed(seed, 0))
-    kinds = _assign_kinds(len(waveforms), CONTINUAL_KINDS, CONTINUAL_PROPORTIONS, rng)
-    return distort_clips([Clip(f"cont-{i:05d}", w, None, clean=w) for i, w in enumerate(waveforms)],
-                         [make_spec(k, derive_seed(seed, 1, i)) for i, k in enumerate(kinds)],
-                         noise_bank)
+    kinds = _assign_kinds(len(corpus), CONTINUAL_KINDS, CONTINUAL_PROPORTIONS, rng)
+    return [make_clip(Clip(f"cont-{i:05d}", source.waveform, None, clean=source.waveform),
+                      make_spec(kind, derive_seed(seed, 1, i)), noise_bank, keep_samples)
+            for i, (kind, source) in enumerate(zip(kinds, corpus))]
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ from . import runtime
 from .distort import (
     MIN_SPLIT_CLIPS,
     CorpusSplit,
+    ToneCorpus,
     WavNoiseBank,
     build_continual_set,
     build_splits,
     derive_seed,
     manifest_entries,
-    synth_corpus,
     with_test_sets,
     write_manifest,
 )
@@ -257,46 +257,36 @@ class ExperimentData:
     continual_set: list
 
 
-def build_training_data(corpus: CorpusSpec, splits_seed: int,
-                        with_continual: bool) -> ExperimentData:
-    """S, T and the continual set: what training reads, distorted with ``corpus.noise_bank``.
-    The splits' test sets are empty; ``add_test_sets`` builds them."""
-    # the training corpus is passed unnamed, so that T's clean sources, which the split
-    # replaces with distorted copies, are freed before the continual set is built
-    splits = build_splits(synth_corpus(corpus.n_per_class, corpus.classes, corpus.seed),
-                          splits_seed, noise_bank=corpus.noise_bank)
-    continual = []
-    if with_continual:
-        cont_corpus = synth_corpus(corpus.continual_n_per_class, corpus.classes,
-                                   derive_seed(corpus.seed, 202), id_prefix="cont")
-        continual = build_continual_set([c.waveform for c in cont_corpus],
-                                        derive_seed(splits_seed, 7), corpus.noise_bank)
+def build_training_data(corpus: CorpusSpec, splits_seed: int, with_continual: bool,
+                        keep_samples: bool) -> ExperimentData:
+    """S, T and the continual set: what training reads, distorted with ``corpus.noise_bank``,
+    each clip with its samples, or with only its features unless ``keep_samples``.  The
+    splits' test sets are empty; ``add_test_sets`` builds them."""
+    splits = build_splits(ToneCorpus(corpus.n_per_class, corpus.classes, corpus.seed),
+                          splits_seed, corpus.noise_bank, keep_samples)
+    sources = ToneCorpus(corpus.continual_n_per_class, corpus.classes,
+                         derive_seed(corpus.seed, 202), "cont")
+    continual = build_continual_set(sources, derive_seed(splits_seed, 7), corpus.noise_bank,
+                                    keep_samples) if with_continual else []
     return ExperimentData(splits, continual)
 
 
-def add_test_sets(splits: CorpusSplit, corpus: CorpusSpec, splits_seed: int) -> CorpusSplit:
+def add_test_sets(splits: CorpusSplit, corpus: CorpusSpec, splits_seed: int,
+                  keep_samples: bool) -> CorpusSplit:
     """``splits`` with the clean, seen-distortion and unseen-distortion test sets, the
-    distorted ones drawn from ``corpus.noise_bank``."""
-    test = synth_corpus(corpus.test_n_per_class, corpus.classes,
-                        derive_seed(corpus.seed, 101), id_prefix="test")
-    return with_test_sets(splits, test, splits_seed, corpus.noise_bank)
+    distorted ones drawn from ``corpus.noise_bank``, kept as ``build_training_data`` keeps."""
+    sources = ToneCorpus(corpus.test_n_per_class, corpus.classes,
+                         derive_seed(corpus.seed, 101), "test")
+    return with_test_sets(splits, sources, splits_seed, corpus.noise_bank, keep_samples)
 
 
 def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
                           with_continual: bool = True) -> ExperimentData:
-    """``build_training_data`` then ``add_test_sets``; only the tests and perfbench call it."""
-    data = build_training_data(corpus, splits_seed, with_continual)
-    data.splits = add_test_sets(data.splits, corpus, splits_seed)
+    """``build_training_data`` then ``add_test_sets``, every clip with its samples; only the
+    tests and perfbench call it."""
+    data = build_training_data(corpus, splits_seed, with_continual, keep_samples=True)
+    data.splits = add_test_sets(data.splits, corpus, splits_seed, keep_samples=True)
     return data
-
-
-def _keep_features(clips: list):
-    """Featurize each clip and free its samples, one clip at a time, so the features reuse
-    the memory the samples left; a function, so no loop variable outlives it."""
-    for clip in clips:
-        clip.waveform.release()
-        if clip.clean is not None:
-            clip.clean.release()
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +381,17 @@ def train_stages(manifest: ExperimentManifest, specs: list[StageSpec],
     """Train ``specs`` on the manifest's corpus in up to ``jobs`` workers; return their results
     in the order of ``specs``, and the splits with their test sets.
 
-    Every clip keeps its features and frees its samples right after it is built: the
-    training clips before the workers fork, the test sets after training, once the
-    continual set, which only pretraining reads, is freed.  So no worker inherits a
-    sample or a test clip.  Each ``stage_groups`` group is one ``parallel_map`` item that
-    pretrains in its worker while the other groups train.  When all of ``specs`` make one
-    continual group, nothing could train beside its pretraining: this process pretrains
-    once, lets go of the continual set, and each spec becomes an item of its own.
+    Every clip keeps only its features: the training clips are built before the workers
+    fork, the test sets after training, once the continual set, which only pretraining
+    reads, is freed.  So no worker inherits a sample or a test clip.  Each ``stage_groups``
+    group is one ``parallel_map`` item that pretrains in its worker while the other groups
+    train.  When all of ``specs`` make one continual group, nothing could train beside its
+    pretraining: this process pretrains once, lets go of the continual set, and each spec
+    becomes an item of its own.
     """
     corpus = manifest.corpus
     data = build_training_data(corpus, manifest.splits_seed,
-                               any(s.stage in CONTINUAL_STAGES for s in specs))
-    _keep_features(data.splits.S + data.splits.T + data.continual_set)
+                               any(s.stage in CONTINUAL_STAGES for s in specs), keep_samples=False)
     groups, pretrained = stage_groups(specs), None
     if len(groups) == 1 and specs[0].stage in CONTINUAL_STAGES:
         first = specs[0]
@@ -414,8 +403,7 @@ def train_stages(manifest: ExperimentManifest, specs: list[StageSpec],
                            jobs)
     splits = data.splits
     del data  # the last reference to the continual set, freed before the test sets
-    splits = add_test_sets(splits, corpus, manifest.splits_seed)
-    _keep_features(splits.test_clean + splits.test_seen + splits.test_unseen)
+    splits = add_test_sets(splits, corpus, manifest.splits_seed, keep_samples=False)
     by_spec = {id(s): res for g, results in zip(groups, trained) for s, res in zip(g, results)}
     return [by_spec[id(s)] for s in specs], splits
 
@@ -528,7 +516,8 @@ def run_probe(manifest: ExperimentManifest, out_dir: Path) -> list[dict]:
     """Probe each stage's checkpoint in the finished run of ``manifest`` in ``out_dir``."""
     out_dir = Path(out_dir)
     require_finished_run(manifest, out_dir)
-    data = build_training_data(manifest.corpus, manifest.splits_seed, with_continual=False)
+    data = build_training_data(manifest.corpus, manifest.splits_seed, with_continual=False,
+                               keep_samples=False)
     probe_cfg = ProbeConfig(seed=manifest.seed)
     rows = []
     for spec in manifest.stages:

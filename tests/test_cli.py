@@ -471,7 +471,7 @@ def test_wav_noise_bank_is_read_once_by_each_command(tmp_path, monkeypatch, caps
                                                  noise_wav_dir=str(noise)))
     built, draws, kept, synthesized = [], [], [], []
     real_init, real_draw = distort.WavNoiseBank.__init__, distort.WavNoiseBank.draw
-    real_build, real_synth = pipeline.build_training_data, pipeline.synth_corpus
+    real_build, real_synth = pipeline.build_training_data, distort.ToneCorpus.__getitem__
 
     def counting(self, noise_dir):
         built.append(noise_dir)
@@ -488,15 +488,15 @@ def test_wav_noise_bank_is_read_once_by_each_command(tmp_path, monkeypatch, caps
         kept.append(real_build(*args, **kwargs))
         return kept[-1]
 
-    def synth(*args, **kwargs):
-        synthesized.append(args)
-        return real_synth(*args, **kwargs)
+    def synth(corpus, idx):
+        synthesized.append((corpus, idx))
+        return real_synth(corpus, idx)
 
     monkeypatch.setattr(distort.WavNoiseBank, "__init__", counting)
     monkeypatch.setattr(distort.WavNoiseBank, "draw", recording)
     monkeypatch.setattr(distort.ProceduralNoiseBank, "draw", no_procedural_noise)
     monkeypatch.setattr(pipeline, "build_training_data", keeping)
-    monkeypatch.setattr(pipeline, "synth_corpus", synth)
+    monkeypatch.setattr(distort.ToneCorpus, "__getitem__", synth)
     seed = ["--seed", "2"]
     for command, *rest in (["run", *seed], ["probe", *seed], ["sweep"], ["run", "--dry-run"],
                            ["probe", *seed, "--dry-run"], ["sweep", "--dry-run"]):
@@ -642,19 +642,21 @@ class TestProbeCommand:
         assert [r["seed"] for r in rows] == [2, 2]
 
     def test_probe_builds_only_s_and_t(self, manifest_path, tmp_path, monkeypatch):
-        from datforge import pipeline
+        from datforge import distort
 
         assert main(["run", "--manifest", str(manifest_path)]) == EXIT_OK
-        built = []  # the id prefix of each corpus the probe synthesizes
-        real = pipeline.synth_corpus
+        built = []  # the corpus id prefix of each clip the probe synthesizes
+        real = distort.ToneCorpus.__getitem__
 
-        def recording(n_per_class, classes, seed, id_prefix="clip"):
-            built.append(id_prefix)
-            return real(n_per_class, classes, seed, id_prefix)
+        def recording(corpus, idx):
+            built.append(corpus.id_prefix)
+            return real(corpus, idx)
 
-        monkeypatch.setattr(pipeline, "synth_corpus", recording)
+        monkeypatch.setattr(distort.ToneCorpus, "__getitem__", recording)
         assert main(["probe", "--manifest", str(manifest_path)]) == EXIT_OK
-        assert built == ["clip"]  # the training corpus: no test corpus, no continual one
+        corpus = ExperimentManifest.from_file(manifest_path).corpus
+        # the training corpus, each clip once: no test corpus, no continual one
+        assert built == ["clip"] * (corpus.classes * corpus.n_per_class)
 
     def test_rerun_removes_the_probe_of_the_checkpoints_it_replaces(self, manifest_path,
                                                                      tmp_path, capsys):

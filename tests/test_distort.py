@@ -267,7 +267,7 @@ class TestWavNoiseBank:
         corpus = synth_corpus(3, 4, seed=11)
         test = synth_corpus(2, 4, seed=12, id_prefix="test")
         split = with_test_sets(build_splits(corpus, 5, bank), test, 5, bank)
-        cont = build_continual_set([c.waveform for c in corpus], 3, bank)
+        cont = build_continual_set(corpus, 3, bank)
         sources = {c.clip_id: c.waveform for c in corpus + test}
         for clips in (split.T, split.test_seen, split.test_unseen):
             assert_reproduced(clips, sources, bank)
@@ -366,7 +366,7 @@ class TestBuildSplits:
     def test_labels_hidden_behind_policy(self, small_corpus, small_splits):
         with pytest.raises(PolicyError):
             small_splits.oracle_labeled_target("training")
-        continual = build_continual_set([c.waveform for c in small_corpus[:8]], seed=3)
+        continual = build_continual_set(small_corpus[:8], seed=3)
         assert all(c.label is None for c in small_splits.T + continual)
         oracle = small_splits.oracle_labeled_target("oracle")
         assert [c.clip_id for c in oracle] == [c.clip_id for c in small_splits.T]
@@ -405,22 +405,21 @@ class TestBuildSplits:
 
 class TestContinualSet:
     def test_quarter_proportions(self):
-        waves = [c.waveform for c in synth_corpus(10, 4, seed=13)]
-        cont = build_continual_set(waves, seed=3)
+        corpus = synth_corpus(10, 4, seed=13)
+        cont = build_continual_set(corpus, seed=3)
         counts = collections.Counter(c.kind for c in cont)
-        expected = largest_remainder_counts(len(waves), (0.25, 0.25, 0.25, 0.25))
+        expected = largest_remainder_counts(len(corpus), (0.25, 0.25, 0.25, 0.25))
         assert [counts[k] for k in CONTINUAL_KINDS] == expected
 
     def test_waveform_is_its_spec_applied(self):
-        waves = [c.waveform for c in synth_corpus(4, 4, seed=14)]
-        cont = build_continual_set(waves, seed=3)
-        assert all(c.clean is w for c, w in zip(cont, waves))
+        corpus = synth_corpus(4, 4, seed=14)
+        cont = build_continual_set(corpus, seed=3)
+        assert all(c.clean is s.waveform for c, s in zip(cont, corpus))
         assert {c.spec.pool for c in cont} == {"train"}
         assert_reproduced(cont, {c.clip_id: c.clean for c in cont})
 
     def test_clean_entries_match_target(self):
-        waves = [c.waveform for c in synth_corpus(4, 4, seed=14)]
-        for c in build_continual_set(waves, seed=3):
+        for c in build_continual_set(synth_corpus(4, 4, seed=14), seed=3):
             assert isinstance(c, Clip)
             if c.kind == CLEAN:
                 assert np.array_equal(c.waveform.samples, c.clean.samples)
@@ -463,21 +462,24 @@ class TestFeaturize:
         w = synth_corpus(1, 2, seed=19)[0].waveform
         first = featurize(w)
         assert featurize(w) is not first and first.flags.writeable
-        assert w._features is None  # featurize does not fill the clip's copy
+        assert "features" not in vars(w)  # featurize does not fill the clip's copy
 
-    def test_released_waveform_keeps_its_features_and_refuses_its_samples(self, tmp_path):
-        w = synth_corpus(1, 2, seed=20)[0].waveform
-        feats = featurize(w)
-        w.release()
-        w.release()  # a continual clean clip is both its input and its target
-        assert w.features.tobytes() == feats.tobytes() and not w.features.flags.writeable
-        noise = np.ones(feats.shape[0])
-        for read in (lambda: featurize(w), w.power, lambda: mix_at_snr(w, noise, 10.0),
-                     lambda: add_gaussian(w, 10.0, seed=0),
-                     lambda: apply_reverb(w, np.array([1.0])),
-                     lambda: write_wav(tmp_path / "clip.wav", w)):
-            with pytest.raises(AttributeError, match="samples"):
-                read()
+    def test_features_only_clip_keeps_its_features_and_refuses_its_samples(self, tmp_path):
+        corpus = synth_corpus(2, 2, seed=20)
+        cont = build_continual_set(corpus, seed=3)
+        feats = [(featurize(c.waveform), featurize(c.clean)) for c in cont]
+        cont = build_continual_set(corpus, seed=3, keep_samples=False)
+        assert CLEAN in {c.kind for c in cont}  # a clean continual clip is its own input
+        noise = np.ones(16000)
+        for c, pair in zip(cont, feats):
+            for w, f in zip((c.waveform, c.clean), pair):
+                assert w.features.tobytes() == f.tobytes() and not w.features.flags.writeable
+                for read in (lambda: featurize(w), w.power, lambda: mix_at_snr(w, noise, 10.0),
+                             lambda: add_gaussian(w, 10.0, seed=0),
+                             lambda: apply_reverb(w, np.array([1.0])),
+                             lambda: write_wav(tmp_path / "clip.wav", w)):
+                    with pytest.raises(AttributeError, match="samples"):
+                        read()
         assert not list(tmp_path.iterdir())
 
 

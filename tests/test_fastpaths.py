@@ -710,28 +710,34 @@ def _logged_calls(log: Path) -> list[tuple[int, int]]:
     return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
 
+def _keep_made(monkeypatch, hook=None) -> list:
+    """Every clip the corpus builders make (``distort.make_clip``), kept alive in the list
+    returned, in build order; ``hook(clip)`` first sees each while it still has its samples."""
+    made, real = [], distort.make_clip
+
+    def keeping(source, spec, bank=None, keep_samples=True):
+        clip = real(source, spec, bank)
+        if hook is not None:
+            hook(clip)
+        made.append(real(clip, None, bank, keep_samples))  # the same clip, made final
+        return made[-1]
+
+    monkeypatch.setattr(distort, "make_clip", keeping)
+    return made
+
+
 @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=forks)], ids=["in-process", "forked"])
 def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch, cpus):
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
-    built, tested = [], []  # the run's training data and its splits with the test sets
-    real_build, real_add = pipeline.build_training_data, pipeline.add_test_sets
-
-    def keeping(*args, **kwargs):
-        built.append(real_build(*args, **kwargs))
-        return built[-1]
-
-    def keeping_tests(*args, **kwargs):
-        tested.append(real_add(*args, **kwargs))
-        return tested[-1]
-
-    monkeypatch.setattr(pipeline, "build_training_data", keeping)
-    monkeypatch.setattr(pipeline, "add_test_sets", keeping_tests)
+    # S, T, every test clip and every continual clip, kept alive, so no two waveforms share an id
+    finished = _keep_made(monkeypatch)
     _call_logging(monkeypatch, distort, "featurize", tmp_path / "featurize.log")
-    run_experiment(tiny_standard(), tmp_path / "out")
-    (data,), (sp,) = built, tested  # kept alive, so no two of their waveforms share an id
-    waves = {id(c.waveform) for part in (sp.S, sp.T, sp.test_clean, sp.test_seen, sp.test_unseen)
-             for c in part}
-    waves |= {id(w) for c in data.continual_set for w in (c.waveform, c.clean)}
+    manifest = tiny_standard()
+    run_experiment(manifest, tmp_path / "out")
+    c = manifest.corpus
+    assert len(finished) == c.classes * (c.n_per_class + c.continual_n_per_class
+                                         + 3 * c.test_n_per_class)
+    waves = {id(w) for clip in finished for w in (clip.waveform, clip.clean) if w is not None}
     calls = _logged_calls(tmp_path / "featurize.log")
     assert {pid for pid, _ in calls} == {os.getpid()}  # once per run, in the parent
     ids = [w for _, w in calls]
@@ -749,23 +755,11 @@ def test_run_featurizes_each_waveform_once(tmp_path, monkeypatch, cpus):
 def test_workers_inherit_no_samples(tmp_path, monkeypatch, command, workers):
     samples = []  # weakrefs to the samples of every clip built, and of each continual clean input
     alive_at_map, alive_at_report = [], []
-    real_build, real_add, real_map, real_report = (
-        pipeline.build_training_data, pipeline.add_test_sets, pipeline.parallel_map,
-        pipeline.build_report)
+    real_map, real_report = pipeline.parallel_map, pipeline.build_report
 
-    def keep_refs(clips):
-        samples.extend(weakref.ref(w.samples) for c in clips for w in (c.waveform, c.clean)
+    def keep_refs(clip):
+        samples.extend(weakref.ref(w.samples) for w in (clip.waveform, clip.clean)
                        if w is not None)
-
-    def building(*args, **kwargs):
-        data = real_build(*args, **kwargs)
-        keep_refs(data.splits.S + data.splits.T + data.continual_set)
-        return data
-
-    def adding(*args, **kwargs):
-        splits = real_add(*args, **kwargs)
-        keep_refs(splits.test_clean + splits.test_seen + splits.test_unseen)
-        return splits
 
     def mapping(*args, **kwargs):
         alive_at_map.append(sum(r() is not None for r in samples))
@@ -775,8 +769,7 @@ def test_workers_inherit_no_samples(tmp_path, monkeypatch, command, workers):
         alive_at_report.append(sum(r() is not None for r in samples))
         return real_report(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "build_training_data", building)
-    monkeypatch.setattr(pipeline, "add_test_sets", adding)
+    _keep_made(monkeypatch, keep_refs)
     monkeypatch.setattr(pipeline, "parallel_map", mapping)
     monkeypatch.setattr(pipeline, "build_report", reporting)
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: workers)
@@ -830,34 +823,53 @@ def test_run_matches_the_reference_path(tmp_path, monkeypatch, cpus):
 
 
 # ---------------------------------------------------------------------------
-# corpus build: T's clean sources are freed once the split is made
+# corpus build: each source clip is made into every clip it yields, and freed, before the
+# next source is synthesized
 # ---------------------------------------------------------------------------
 
-def test_corpus_build_frees_the_target_sources_before_the_continual_set(monkeypatch):
-    corpus = pipeline.CorpusSpec(classes=2, n_per_class=5, test_n_per_class=1,
-                                 continual_n_per_class=1)
-    sources = {}  # training-corpus clip id -> weakref to its clean Waveform
-    alive_then = []  # the ids still alive when build_continual_set is called
-    real_synth, real_continual = pipeline.synth_corpus, pipeline.build_continual_set
+@pytest.mark.parametrize("command, cpus", [
+    ("run", 1), pytest.param("run", 2, marks=forks), ("sweep", 1),
+    pytest.param("sweep", 2, marks=forks), ("probe", 1)],
+    ids=["in-process", "forked", "sweep-in-process", "sweep-forked", "probe"])
+def test_at_each_synthesis_no_earlier_source_or_its_clips_holds_samples(
+        tmp_path, monkeypatch, command, cpus):
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+    manifest = tiny_standard() if command != "sweep" else \
+        ExperimentManifest.from_dict(dict(CONTINUAL_SWEEP))
+    if command == "probe":
+        run_experiment(manifest, tmp_path / "out")
+    made = []  # weakrefs to the samples of every waveform made: sources and distorted clips
+    alive_at_synthesis = []  # (corpus id prefix, sample arrays alive) at each synthesis
+    real_init, real_synth = distort.Waveform.__post_init__, distort.ToneCorpus.__getitem__
 
-    def synth_keeping_refs(n_per_class, classes, seed, id_prefix="clip"):
-        clips = real_synth(n_per_class, classes, seed, id_prefix)
-        if id_prefix == "clip":  # the training corpus, which the split halves into S and T
-            sources.update((c.clip_id, weakref.ref(c.waveform)) for c in clips)
-        return clips
+    def init_tracking(self):
+        real_init(self)
+        made.append(weakref.ref(self.samples))
 
-    def continual_checking(*args, **kwargs):
-        alive_then.append({cid for cid, ref in sources.items() if ref() is not None})
-        return real_continual(*args, **kwargs)
+    def synth_checking(corpus, idx):
+        alive_at_synthesis.append((corpus.id_prefix, sum(r() is not None for r in made)))
+        return real_synth(corpus, idx)
 
-    monkeypatch.setattr(pipeline, "synth_corpus", synth_keeping_refs)
-    monkeypatch.setattr(pipeline, "build_continual_set", continual_checking)
-    data = build_experiment_data(corpus, 7)
-    s_ids = {c.clip_id for c in data.splits.S}
-    t_ids = {c.clip_id for c in data.splits.T}
-    assert len(sources) == 10 and s_ids | t_ids == set(sources) and not s_ids & t_ids
-    assert alive_then == [s_ids]  # every S clip alive, every T source freed
-    assert all(sources[c.clip_id]() is c.waveform for c in data.splits.S)
+    monkeypatch.setattr(distort.Waveform, "__post_init__", init_tracking)
+    monkeypatch.setattr(distort.ToneCorpus, "__getitem__", synth_checking)
+    if command == "run":
+        run_experiment(manifest, tmp_path / "out")
+    elif command == "sweep":
+        run_sweep(manifest, tmp_path / "out", jobs=cpus)
+    else:
+        pipeline.run_probe(manifest, tmp_path / "out")
+    c = manifest.corpus
+    counts = {"clip": c.classes * c.n_per_class}  # probe: S and T only
+    if command != "probe":
+        counts.update(cont=c.classes * c.continual_n_per_class,
+                      test=c.classes * c.test_n_per_class)
+    assert [prefix for prefix, _ in alive_at_synthesis] == \
+        [p for p in ("clip", "cont", "test") if p in counts for _ in range(counts[p])]
+    # the previous source and every clip made from it hold no samples once the next begins
+    assert {alive for _, alive in alive_at_synthesis} == {0}
+    # T, the distorted test and continual clips: more waveforms were made than sources
+    assert len(made) > len(alive_at_synthesis)
+    assert all(r() is None for r in made)  # and none holds samples after the command
 
 
 # ---------------------------------------------------------------------------
@@ -873,19 +885,19 @@ def test_run_builds_the_test_sets_after_training_and_frees_the_continual_set(
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
     test_clips, continual = [], []  # weakrefs to every test-corpus clip and continual waveform
     at_map, at_test_synth = [], []  # what was alive when the map / test synthesis began
-    real_synth, real_continual, real_map = (pipeline.synth_corpus, pipeline.build_continual_set,
-                                            pipeline.parallel_map)
+    real_synth, real_continual, real_map = (distort.ToneCorpus.__getitem__,
+                                            pipeline.build_continual_set, pipeline.parallel_map)
 
     def alive(refs):
         return [r for r in refs if r() is not None]
 
-    def synth_keeping_refs(n_per_class, classes, seed, id_prefix="clip"):
-        if id_prefix == "test":
+    def synth_keeping_refs(corpus, idx):
+        if corpus.id_prefix == "test":
             at_test_synth.append(len(alive(continual)))
-        clips = real_synth(n_per_class, classes, seed, id_prefix)
-        if id_prefix == "test":
-            test_clips.extend(weakref.ref(c) for c in clips)
-        return clips
+        clip = real_synth(corpus, idx)
+        if corpus.id_prefix == "test":
+            test_clips.append(weakref.ref(clip))
+        return clip
 
     def continual_keeping_refs(*args, **kwargs):
         clips = real_continual(*args, **kwargs)
@@ -896,7 +908,7 @@ def test_run_builds_the_test_sets_after_training_and_frees_the_continual_set(
         at_map.append((len(test_clips), len(alive(continual))))
         return real_map(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "synth_corpus", synth_keeping_refs)
+    monkeypatch.setattr(distort.ToneCorpus, "__getitem__", synth_keeping_refs)
     monkeypatch.setattr(pipeline, "build_continual_set", continual_keeping_refs)
     monkeypatch.setattr(pipeline, "parallel_map", map_checking)
     _call_logging(monkeypatch, evalharness, "evaluate", tmp_path / "evaluate.log")
@@ -929,8 +941,9 @@ def test_run_builds_the_test_sets_after_training_and_frees_the_continual_set(
     # worker, on the continual set, while the sweep's one continual group pretrains here
     # and frees the set first
     assert at_map == [(0, 2 * n_cont if command == "run" else 0)]
-    assert at_test_synth == [0]  # every continual waveform freed by then
-    assert len(test_clips) == manifest.corpus.test_n_per_class * manifest.corpus.classes
+    n_test = manifest.corpus.test_n_per_class * manifest.corpus.classes
+    assert at_test_synth == [0] * n_test  # every continual waveform freed by then
+    assert len(test_clips) == n_test
     trained = len(manifest.stages) if command == "run" else len(manifest.sweep.lambdas)
     evaluated = _logged_calls(tmp_path / "evaluate.log")
     assert len(evaluated) == 3 * trained  # each model on each test set, all in this process
@@ -938,21 +951,50 @@ def test_run_builds_the_test_sets_after_training_and_frees_the_continual_set(
     assert eval_batches and set(eval_batches) == {1}  # one clip per forward pass
 
 
+@pytest.mark.parametrize("bank", ["procedural", "wav"])
 @pytest.mark.parametrize("classes, n_per_class", [(2, 5), (3, 5)], ids=["even", "odd"])
-def test_run_data_parts_compose_to_the_experiment_data(classes, n_per_class):
+def test_run_data_parts_compose_to_the_experiment_data(tmp_path, classes, n_per_class, bank):
+    noise_dir = None
+    if bank == "wav":
+        noise_dir = tmp_path / "noise"
+        noise_dir.mkdir()
+        rng = np.random.default_rng(0)
+        for i in range(6):  # the name hash puts n0-n2 and n4 in "train", n3 and n5 in "unseen"
+            distort.write_wav(noise_dir / f"n{i}.wav", Waveform(0.1 * rng.standard_normal(1600)))
     corpus = pipeline.CorpusSpec(classes=classes, n_per_class=n_per_class, test_n_per_class=2,
-                                 continual_n_per_class=2, seed=3)
+                                 continual_n_per_class=2, seed=3,
+                                 noise_wav_dir=None if noise_dir is None else str(noise_dir))
     whole = build_experiment_data(corpus, 7)
-    data = pipeline.build_training_data(corpus, 7, True)
-    assert data.splits.test_clean == data.splits.test_seen == data.splits.test_unseen == []
-    splits = pipeline.add_test_sets(data.splits, corpus, 7)
+    names = ("S", "T", "test_clean", "test_seen", "test_unseen")
+
+    def parts(data, splits):
+        return {**{name: getattr(splits, name) for name in names}, "continual": data.continual_set,
+                "oracle": splits.oracle_labeled_target("oracle")}  # T with its hidden labels
+
+    def built(keep_samples):
+        data = pipeline.build_training_data(corpus, 7, True, keep_samples)
+        assert data.splits.test_clean == data.splits.test_seen == data.splits.test_unseen == []
+        return parts(data, pipeline.add_test_sets(data.splits, corpus, 7, keep_samples))
 
     def clips(part):
         return [(c.clip_id, c.label, c.spec, c.waveform.samples.tobytes(), c.waveform.gain_applied,
                  None if c.clean is None else c.clean.samples.tobytes()) for c in part]
 
-    for name in ("S", "T", "test_clean", "test_seen", "test_unseen"):
-        assert clips(getattr(splits, name)) == clips(getattr(whole.splits, name)), name
-    assert clips(data.continual_set) == clips(whole.continual_set)
-    assert clips(splits.oracle_labeled_target("oracle")) == \
-        clips(whole.splits.oracle_labeled_target("oracle"))  # T with its hidden labels
+    def waves(clip):
+        return [w for w in (clip.waveform, clip.clean) if w is not None]
+
+    def recipe(part):
+        return [(c.clip_id, c.label, c.spec, [w.gain_applied for w in waves(c)]) for c in part]
+
+    reference = parts(whole, whole.splits)
+    assert "additive_bank" in {c.kind for c in whole.continual_set + whole.splits.T}
+    for name, part in built(keep_samples=True).items():
+        assert clips(part) == clips(reference[name]), name
+    # the fast path: each clip carries only its features, with the id, label, spec and gain
+    # of its sample-carrying twin, and features equal to featurize of the twin
+    for name, part in built(keep_samples=False).items():
+        assert recipe(part) == recipe(reference[name]), name
+        for c, twin in zip(part, reference[name]):
+            for w, tw in zip(waves(c), waves(twin)):
+                assert not hasattr(w, "samples"), name
+                assert np.array_equal(w.features, distort.featurize(tw)), name

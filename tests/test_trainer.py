@@ -265,7 +265,7 @@ class TestSupervisedAndStages:
             assert np.array_equal(p.value, q.value)
 
     def test_continual_checkpoint_round_trip(self, small_corpus, small_splits, tmp_path):
-        cont = build_continual_set([c.waveform for c in small_corpus[:8]], seed=2)
+        cont = build_continual_set(small_corpus[:8], seed=2)
         cfg = small_cfg(epochs=1)
         pre = pretrain(cfg, cont, SMALL_MODEL, "continual_only")
         res = run_stage("continual_only", small_splits, cfg, SMALL_MODEL, pre)
@@ -288,7 +288,7 @@ def nan_features(monkeypatch):
     corpus = synth_corpus(10, 4, seed=11)
     splits = with_test_sets(build_splits(corpus, seed=5),
                             synth_corpus(3, 4, seed=12, id_prefix="test"), seed=5)
-    return splits, build_continual_set([c.waveform for c in corpus[:8]], seed=2)
+    return splits, build_continual_set(corpus[:8], seed=2)
 
 
 class TestNonFiniteLoss:
@@ -306,7 +306,7 @@ class TestNonFiniteLoss:
 
 class TestContinualPretraining:
     def test_loss_decreases_and_alignment_improves(self, small_corpus):
-        cont = build_continual_set([c.waveform for c in small_corpus], seed=2)
+        cont = build_continual_set(small_corpus, seed=2)
         model = DannModel(SMALL_MODEL, seed=5)
         before = continual_heldout_loss(model, cont)
         rows = continual_pretrain(model, cont, small_cfg(continual_epochs=10))
@@ -315,7 +315,7 @@ class TestContinualPretraining:
         assert after < before
 
     def test_only_extractor_parameters_move(self, small_corpus):
-        cont = build_continual_set([c.waveform for c in small_corpus[:8]], seed=2)
+        cont = build_continual_set(small_corpus[:8], seed=2)
         model = DannModel(SMALL_MODEL, seed=5)
         heads_before = [p.value.copy()
                         for p in model.label_head.parameters() + model.domain_head.parameters()]
@@ -327,14 +327,14 @@ class TestContinualPretraining:
                    for b, a in zip(fx_before, (p.value for p in model.extractor.parameters())))
 
     def test_shared_pretraining_must_match_the_stage_settings(self, small_corpus, small_splits):
-        cont = build_continual_set([c.waveform for c in small_corpus[:8]], seed=2)
+        cont = build_continual_set(small_corpus[:8], seed=2)
         pre = pretrain(small_cfg(continual_epochs=1), cont, SMALL_MODEL, "continual_only")
         with pytest.raises(ConfigError, match="pretrains with"):
             run_stage("continual_only", small_splits, small_cfg(continual_epochs=2),
                       SMALL_MODEL, pretrained=pre)
 
     def test_zero_epochs_is_noop(self, small_corpus):
-        cont = build_continual_set([c.waveform for c in small_corpus[:8]], seed=2)
+        cont = build_continual_set(small_corpus[:8], seed=2)
         model = DannModel(SMALL_MODEL, seed=5)
         before = [p.value.copy() for p in model.parameters()]
         assert continual_pretrain(model, cont, small_cfg(continual_epochs=0)) == []
@@ -342,7 +342,7 @@ class TestContinualPretraining:
 
     def test_heldout_loss_decreases_over_first_epochs(self, small_corpus):
         # near-monotone decrease over the first 5 epochs, one violation allowed
-        cont = build_continual_set([c.waveform for c in small_corpus], seed=2)
+        cont = build_continual_set(small_corpus, seed=2)
         heldout = cont[::3]
         train = [c for i, c in enumerate(cont) if i % 3]
         model = DannModel(SMALL_MODEL, seed=5)
