@@ -19,8 +19,8 @@ from .distort import (
     TRAIN_KINDS,
     TRAIN_PROPORTIONS,
     Clip,
+    assign_kinds,
     derive_seed,
-    largest_remainder_counts,
     make_clip,
     make_spec,
     manifest_row,
@@ -121,9 +121,9 @@ def _cmd_distort(args) -> int:
     if not paths:
         raise ConfigError(f"no WAV files in {in_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.kind == "mixed":
-        counts = largest_remainder_counts(len(paths), TRAIN_PROPORTIONS)
-        kinds = [k for k, c in zip(TRAIN_KINDS, counts) for _ in range(c)]
+    if args.kind == "mixed":  # seeded by a two-part key: each file's spec seed has a one-part key
+        kinds = assign_kinds(len(paths), TRAIN_KINDS, TRAIN_PROPORTIONS,
+                             derive_seed(args.seed, 0, 0))
     else:
         kinds = [args.kind] * len(paths)
     entries = []

@@ -389,10 +389,11 @@ def largest_remainder_counts(n: int, proportions) -> list[int]:
     return counts
 
 
-def _assign_kinds(n: int, kinds, proportions, rng) -> list[str]:
+def assign_kinds(n: int, kinds, proportions, rng) -> list[str]:
+    """``n`` of ``kinds`` in ``largest_remainder_counts``, permuted by ``rng`` (or its seed)."""
     counts = largest_remainder_counts(n, proportions)
     assignment = [k for k, c in zip(kinds, counts) for _ in range(c)]
-    return [assignment[i] for i in rng.permutation(n)]
+    return [assignment[i] for i in np.random.default_rng(rng).permutation(n)]
 
 
 def make_spec(kind: str, seed: int, pool: str = "train") -> DistortionSpec:
@@ -431,9 +432,9 @@ def _split_draws(n_train: int, n_test: int, seed: int):
     T's kinds, then the seen and unseen test kinds, all from one rng."""
     rng = np.random.default_rng(derive_seed(seed, 0))
     perm = rng.permutation(n_train)
-    t_kinds = _assign_kinds(n_train // 2, TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
-    seen_kinds = _assign_kinds(n_test, TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
-    unseen_kinds = _assign_kinds(n_test, (ADDITIVE_BANK, REVERB), (0.7, 0.3), rng)
+    t_kinds = assign_kinds(n_train // 2, TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
+    seen_kinds = assign_kinds(n_test, TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
+    unseen_kinds = assign_kinds(n_test, (ADDITIVE_BANK, REVERB), (0.7, 0.3), rng)
     return perm, t_kinds, seen_kinds, unseen_kinds
 
 
@@ -477,7 +478,7 @@ def build_continual_set(corpus, seed: int, noise_bank=None,
     """Unlabeled continual-training set of ``corpus``'s clips: distortion kinds + clean in
     0.25 proportions each, each clip's undistorted input kept as its ``clean`` target."""
     rng = np.random.default_rng(derive_seed(seed, 0))
-    kinds = _assign_kinds(len(corpus), CONTINUAL_KINDS, CONTINUAL_PROPORTIONS, rng)
+    kinds = assign_kinds(len(corpus), CONTINUAL_KINDS, CONTINUAL_PROPORTIONS, rng)
     return [make_clip(Clip(f"cont-{i:05d}", source.waveform, None, clean=source.waveform),
                       make_spec(kind, derive_seed(seed, 1, i)), noise_bank, keep_samples)
             for i, (kind, source) in enumerate(zip(kinds, corpus))]

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -762,6 +763,25 @@ class TestDistortCommand:
         assert all(e["snr_db"] == 15.0 for e in entries if e["distortion"] != "reverb")
         for w in wavs:
             read_wav(w)  # output stays valid 16-bit mono 16 kHz
+
+    def test_mixed_kinds_follow_the_seed_not_the_file_names(self, tmp_path):
+        d = tmp_path / "in"
+        d.mkdir()
+        for i, clip in enumerate(synth_corpus(5, 2, seed=31)):  # a_0 ... a_4, then b_0 ... b_4
+            write_wav(d / f"{'ab'[i // 5]}_{i % 5}.wav", clip.waveform)
+        kinds = {}
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            assert main(["distort", str(d), str(out), "--seed", seed]) == EXIT_OK
+            entries = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
+            kinds[seed] = {e["id"]: e["distortion"] for e in entries}
+            assert sorted(kinds[seed]) == [f"{c}_{i}" for c in "ab" for i in range(5)]
+            assert Counter(kinds[seed].values()) == {"additive_bank": 3, "gaussian": 4,
+                                                     "reverb": 3}
+        assert kinds["0"] != kinds["7"]
+        # in name order the kinds came in blocks, and no b_ file was ever additive_bank
+        assert any(name.startswith("b_") and kind == "additive_bank"
+                   for assigned in kinds.values() for name, kind in assigned.items())
 
     def test_single_kind_gaussian_changes_audio(self, wav_dir, tmp_path):
         out = tmp_path / "g"
