@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, FormatError, PolicyError, require_positive
 
 DEFAULT_SR = 16000  # the one rate datforge reads, synthesizes and writes (SUPERB's speech rate)
+_SECOND = np.arange(DEFAULT_SR) / DEFAULT_SR  # the sample times of a synthesized clip
 
 ADDITIVE_BANK = "additive_bank"
 GAUSSIAN = "gaussian"
@@ -161,7 +162,7 @@ class ToneCorpus:
     def __getitem__(self, idx: int) -> Clip:
         if not 0 <= idx < len(self):
             raise IndexError(f"clip {idx} of a {len(self)}-clip corpus")
-        label, t = idx // self.n_per_class, np.arange(DEFAULT_SR) / DEFAULT_SR
+        label, t = idx // self.n_per_class, _SECOND
         f0 = class_fundamental_hz(label)
         rng = np.random.default_rng(derive_seed(self.seed, idx))
         amp = rng.uniform(0.3, 0.8)
@@ -466,7 +467,7 @@ def with_test_sets(split: CorpusSplit, test_corpus, seed: int, noise_bank=None,
     _, _, seen, unseen = _split_draws(len(split.S) + len(split.T), len(test_corpus), seed)
     specs = zip(_specs(seen, derive_seed(seed, 2), "train"),
                 _specs(unseen, derive_seed(seed, 3), "unseen"))
-    sets = ([], [], [])  # seen, unseen, clean: the clean clip is made last, from its samples
+    sets = ([], [], [])  # seen, unseen, clean: the clean clip last, as it may free the samples
     for pair, source in zip(specs, test_corpus):
         for part, spec in zip(sets, (*pair, None)):
             part.append(make_clip(source, spec, noise_bank, keep_samples))
