@@ -454,7 +454,7 @@ def build_splits(corpus, seed: int, noise_bank=None, keep_samples: bool = True) 
         if spec is not None:
             split._target_labels.append(clip.label)
             clip = replace(clip, label=None)
-        clip = make_clip(clip, spec, noise_bank, keep_samples)  # the source is freed here
+        clip = make_clip(clip, spec, noise_bank, keep_samples)  # drops a T clip's source
         (split.S if spec is None else split.T).append(clip)
     return split
 

@@ -260,7 +260,7 @@ class ExperimentData:
 def build_training_data(corpus: CorpusSpec, splits_seed: int, with_continual: bool,
                         keep_samples: bool) -> ExperimentData:
     """S, T and the continual set: what training reads, distorted with ``corpus.noise_bank``,
-    each clip with its samples, or with only its features unless ``keep_samples``.  The
+    each clip with its samples if ``keep_samples``, else with only its features.  The
     splits' test sets are empty; ``add_test_sets`` builds them."""
     splits = build_splits(ToneCorpus(corpus.n_per_class, corpus.classes, corpus.seed),
                           splits_seed, corpus.noise_bank, keep_samples)
