@@ -48,15 +48,30 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
-@dataclass
 class Waveform:
-    samples: np.ndarray
-    gain_applied: float = 1.0  # peak-normalization gain, 1.0 if none
+    """One clip's samples and the gain that peak-normalized them: given, or made by
+    ``recipe()``, a ``Waveform``, the first time ``samples``, ``gain_applied`` or
+    ``features`` is read.  Once made, the samples are kept and the recipe is dropped."""
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+    def __init__(self, samples=None, gain_applied: float = 1.0, recipe=None):
+        if recipe is not None:
+            self._recipe = recipe
+            return
+        self.samples = np.asarray(samples, dtype=np.float64)
+        self.gain_applied = gain_applied  # peak-normalization gain, 1.0 if none
         if self.samples.size == 0:
             raise ValueError("Waveform: empty sample array")
+
+    def __getattr__(self, name):  # reached only for an attribute not set on the instance
+        if name not in ("samples", "gain_applied") or "_recipe" not in vars(self):
+            raise AttributeError(f"'Waveform' object has no attribute {name!r}")
+        made = self._recipe()
+        self.samples, self.gain_applied = made.samples, made.gain_applied
+        del self._recipe  # frees what the recipe read, such as a distorted clip's source
+        return getattr(self, name)
+
+    def __repr__(self) -> str:  # makes no samples
+        return f"Waveform({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def power(self) -> float:
         return float(np.mean(self.samples**2))
@@ -146,10 +161,10 @@ def class_fundamental_hz(label: int) -> float:
 
 @dataclass(frozen=True)
 class ToneCorpus:
-    """Balanced clean one-second tone-pair corpus, each clip synthesized when it is read: clip
-    ``idx`` is a fundamental + 3rd harmonic of class ``idx // n_per_class``.  The builders
-    make every clip of one source before reading the next, so one source's samples at most
-    are alive at a time unless they keep samples."""
+    """Balanced clean one-second tone-pair corpus, each clip synthesized (``synth_tone``) when
+    its samples are first read: clip ``idx`` is a fundamental + 3rd harmonic of class
+    ``idx // n_per_class``.  The builders make every clip of one source before reading the
+    next, so one source's samples at most are alive at a time unless they keep samples."""
 
     n_per_class: int
     classes: int
@@ -162,20 +177,25 @@ class ToneCorpus:
     def __getitem__(self, idx: int) -> Clip:
         if not 0 <= idx < len(self):
             raise IndexError(f"clip {idx} of a {len(self)}-clip corpus")
-        label, t = idx // self.n_per_class, _SECOND
-        f0 = class_fundamental_hz(label)
-        rng = np.random.default_rng(derive_seed(self.seed, idx))
-        amp = rng.uniform(0.3, 0.8)
-        ph1, ph2 = rng.uniform(0.0, 2 * np.pi, size=2)
-        raw = np.sin(2 * np.pi * f0 * t + ph1) + 0.5 * np.sin(2 * np.pi * 3 * f0 * t + ph2)
-        env = 0.85 + 0.15 * np.sin(2 * np.pi * rng.uniform(1.0, 3.0) * t + rng.uniform(0, 2 * np.pi))
-        samples = amp * env * raw / np.max(np.abs(raw))
-        return Clip(f"{self.id_prefix}-{idx:05d}", Waveform(samples), label)
+        return Clip(f"{self.id_prefix}-{idx:05d}", Waveform(recipe=lambda: synth_tone(self, idx)),
+                    idx // self.n_per_class)
+
+
+def synth_tone(corpus: ToneCorpus, idx: int) -> Waveform:
+    """The samples of ``corpus[idx]``, synthesized now."""
+    label, t = idx // corpus.n_per_class, _SECOND
+    f0 = class_fundamental_hz(label)
+    rng = np.random.default_rng(derive_seed(corpus.seed, idx))
+    amp = rng.uniform(0.3, 0.8)
+    ph1, ph2 = rng.uniform(0.0, 2 * np.pi, size=2)
+    raw = np.sin(2 * np.pi * f0 * t + ph1) + 0.5 * np.sin(2 * np.pi * 3 * f0 * t + ph2)
+    env = 0.85 + 0.15 * np.sin(2 * np.pi * rng.uniform(1.0, 3.0) * t + rng.uniform(0, 2 * np.pi))
+    return Waveform(amp * env * raw / np.max(np.abs(raw)))
 
 
 def synth_corpus(n_per_class: int, classes: int, seed: int,
                  id_prefix: str = "clip") -> list[Clip]:
-    """Every clip of ``ToneCorpus(n_per_class, classes, seed, id_prefix)``, synthesized now."""
+    """Every clip of ``ToneCorpus(n_per_class, classes, seed, id_prefix)``, in a list."""
     if classes < 2 or n_per_class < 1:
         raise ValueError("need classes >= 2 and n_per_class >= 1")
     return list(ToneCorpus(n_per_class, classes, seed, id_prefix))
@@ -415,11 +435,14 @@ def _specs(kinds, seed: int, pool: str) -> list[DistortionSpec]:
 
 def make_clip(source: Clip, spec: DistortionSpec | None, bank=None,
               keep_samples: bool = True) -> Clip:
-    """The clip ``spec`` makes of ``source`` (``source`` itself for None), its id, label and
-    ``clean`` kept.  Unless ``keep_samples``, its waveform and ``clean`` input keep only their
-    features, and any later read of their samples raises ``AttributeError``."""
-    clip = source if spec is None else replace(
-        source, waveform=apply_spec(source.waveform, spec, bank), spec=spec)
+    """The clip ``spec`` makes of ``source`` (``source`` itself for None or CLEAN), its id,
+    label and ``clean`` kept, which applies ``spec`` when its samples are first read.  Unless
+    ``keep_samples``, its waveform and ``clean`` input make their features now and keep only
+    those, and any later read of their samples raises ``AttributeError``."""
+    clip, clean = source, source.waveform
+    if spec is not None:
+        clip = replace(source, spec=spec, waveform=clean if spec.kind == CLEAN else
+                       Waveform(recipe=lambda: apply_spec(clean, spec, bank)))
     if not keep_samples:
         for w in (clip.waveform, clip.clean):
             if w is not None:

@@ -260,8 +260,8 @@ class ExperimentData:
 def build_training_data(corpus: CorpusSpec, splits_seed: int, with_continual: bool,
                         keep_samples: bool) -> ExperimentData:
     """S, T and the continual set: what training reads, distorted with ``corpus.noise_bank``,
-    each clip with its samples if ``keep_samples``, else with only its features.  The
-    splits' test sets are empty; ``add_test_sets`` builds them."""
+    each clip making its samples at first read if ``keep_samples``, else now, keeping only
+    its features.  The splits' test sets are empty; ``add_test_sets`` builds them."""
     splits = build_splits(ToneCorpus(corpus.n_per_class, corpus.classes, corpus.seed),
                           splits_seed, corpus.noise_bank, keep_samples)
     sources = ToneCorpus(corpus.continual_n_per_class, corpus.classes,
@@ -282,8 +282,8 @@ def add_test_sets(splits: CorpusSplit, corpus: CorpusSpec, splits_seed: int,
 
 def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
                           with_continual: bool = True) -> ExperimentData:
-    """``build_training_data`` then ``add_test_sets``, every clip with its samples; only the
-    tests and perfbench call it."""
+    """``build_training_data`` then ``add_test_sets``, every clip making its samples at first
+    read and keeping them after; only the tests and perfbench call it."""
     data = build_training_data(corpus, splits_seed, with_continual, keep_samples=True)
     data.splits = add_test_sets(data.splits, corpus, splits_seed, keep_samples=True)
     return data
@@ -398,6 +398,7 @@ def train_stages(manifest: ExperimentManifest, specs: list[StageSpec],
         pretrained = pretrain(first.config, data.continual_set,
                               _model_cfg(first.config, corpus.classes), first.stage)
         data.continual_set = []
+        runtime.trim_heap()  # so the workers fork from the heap without what it freed
         groups = [[s] for s in specs]
     trained = parallel_map(_sweep_cell, [(g, data, corpus.classes, pretrained) for g in groups],
                            jobs)

@@ -16,7 +16,12 @@ Both policies hold for the whole process, and forked workers inherit them:
   than the dynamic ones.  Where libc has no ``mallopt``, or refuses the
   values, ``KEEPS_FREED_MEMORY`` is False.
 
-Neither changes any result.
+Neither changes any result.  ``trim_heap`` is the one exception to the kept
+memory: ``train_stages`` calls it once, in the parent, between its own
+pretraining and the fork of the stage workers.  The parent trains no step
+after that fork, so no step page-faults the trimmed pages in again, and every
+worker would otherwise start from the heap that the continual set and the
+pretraining tapes left behind.
 """
 
 import ctypes
@@ -54,14 +59,22 @@ def blas_function(name: str, restype, argtypes):
     return None
 
 
-def libc_mallopt():
-    """The C library's ``mallopt``, through ctypes; None if absent."""
+def libc_function(name: str, restype, argtypes):
+    """The C library's ``name``, through ctypes; None if absent."""
     try:
-        fn = ctypes.CDLL(None).mallopt
+        fn = getattr(ctypes.CDLL(None), name)
     except (AttributeError, OSError, TypeError):  # no such symbol, or no dlopen(NULL)
         return None
-    fn.restype, fn.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    fn.restype, fn.argtypes = restype, argtypes
     return fn
+
+
+def trim_heap():
+    """Hand the free pages of the heap back to the OS (glibc's ``malloc_trim(0)``); nothing
+    where the C library has no ``malloc_trim``."""
+    trim = libc_function("malloc_trim", ctypes.c_int, [ctypes.c_size_t])
+    if trim is not None:
+        trim(0)
 
 
 # glibc's mallopt parameters (malloc.h) and the values this module gives them
@@ -74,7 +87,7 @@ if _set_threads is not None:
     _set_threads(1)
 ONE_THREAD = _set_threads is not None  # every BLAS call of this process runs on one thread
 
-_mallopt = libc_mallopt()
+_mallopt = libc_function("mallopt", ctypes.c_int, [ctypes.c_int, ctypes.c_int])
 KEEPS_FREED_MEMORY = _mallopt is not None and all([  # mallopt returns 1 on success
     _mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
     _mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)])

@@ -447,6 +447,22 @@ class TestFeaturize:
         clip = synth_corpus(1, 2, seed=17)[0]
         assert np.array_equal(featurize(clip.waveform), featurize(clip.waveform))
 
+    @pytest.mark.parametrize("first", ["samples", "gain_applied", "features"])
+    def test_a_recipe_runs_once_at_the_first_read_and_is_dropped(self, first):
+        calls = []
+
+        def recipe():
+            calls.append(1)
+            return Waveform(np.full(800, 2.0), gain_applied=0.5)
+
+        w = Waveform(recipe=recipe)
+        assert "samples" not in repr(w) and not hasattr(w, "label") and calls == []
+        getattr(w, first)
+        assert calls == [1] and "_recipe" not in vars(w)
+        assert w.gain_applied == 0.5 and np.array_equal(w.samples, np.full(800, 2.0))
+        assert np.array_equal(w.features, featurize(Waveform(np.full(800, 2.0))))
+        assert calls == [1]
+
     def test_features_are_kept_once_and_read_only(self):
         w = synth_corpus(1, 2, seed=18)[0].waveform
         kept = w.features

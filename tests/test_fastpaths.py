@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -660,6 +661,43 @@ def test_continual_sweep_pretrains_once(tmp_path, monkeypatch):
     assert calls == ["continual_plus_dat"]
 
 
+@pytest.mark.parametrize("command", ["sweep", "run"])
+def test_the_parent_trims_its_heap_between_its_pretraining_and_the_fork(tmp_path, monkeypatch,
+                                                                       command):
+    """Where this process pretrains (one continual group), it hands its freed heap back to
+    the OS after pretraining and before the stage map starts; elsewhere it trims nothing."""
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+    events = []
+
+    def logging(owner, name):
+        real = getattr(owner, name)
+
+        def log(*args, **kwargs):
+            events.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, log)
+
+    for owner, name in ((pipeline, "pretrain"), (runtime, "trim_heap"),
+                        (pipeline, "parallel_map")):
+        logging(owner, name)
+    if command == "sweep":
+        run_sweep(ExperimentManifest.from_dict(dict(CONTINUAL_SWEEP)), tmp_path, jobs=1)
+        assert events == ["pretrain", "trim_heap", "parallel_map"]
+    else:  # the standard stages make four groups: the continual one pretrains in its item
+        run_experiment(tiny_standard(), tmp_path)
+        assert events == ["parallel_map", "pretrain"]
+
+
+def test_trim_heap_does_nothing_without_malloc_trim(monkeypatch):
+    looked_up = []
+
+    def absent(name, restype, argtypes):
+        looked_up.append(name)
+
+    monkeypatch.setattr(runtime, "libc_function", absent)
+    assert runtime.trim_heap() is None and looked_up == ["malloc_trim"]
+
+
 # TINY_MANIFEST's dat_only stage, swept over its two lambdas under the binary-domain objective
 BCE_SWEEP = dict(TINY_MANIFEST, sweep=dict(TINY_MANIFEST["sweep"], objective="bce"))
 
@@ -840,18 +878,19 @@ def test_at_each_synthesis_no_earlier_source_or_its_clips_holds_samples(
         run_experiment(manifest, tmp_path / "out")
     made = []  # weakrefs to the samples of every waveform made: sources and distorted clips
     alive_at_synthesis = []  # (corpus id prefix, sample arrays alive) at each synthesis
-    real_init, real_synth = distort.Waveform.__post_init__, distort.ToneCorpus.__getitem__
+    real_init, real_synth = distort.Waveform.__init__, distort.synth_tone
 
-    def init_tracking(self):
-        real_init(self)
-        made.append(weakref.ref(self.samples))
+    def init_tracking(self, *args, **kwargs):  # samples are made where a waveform is given them
+        real_init(self, *args, **kwargs)
+        if "samples" in vars(self):
+            made.append(weakref.ref(self.samples))
 
-    def synth_checking(corpus, idx):
+    def synth_checking(corpus, idx):  # a clip's recipe looks the synthesizer up when it runs
         alive_at_synthesis.append((corpus.id_prefix, sum(r() is not None for r in made)))
         return real_synth(corpus, idx)
 
-    monkeypatch.setattr(distort.Waveform, "__post_init__", init_tracking)
-    monkeypatch.setattr(distort.ToneCorpus, "__getitem__", synth_checking)
+    monkeypatch.setattr(distort.Waveform, "__init__", init_tracking)
+    monkeypatch.setattr(distort, "synth_tone", synth_checking)
     if command == "run":
         run_experiment(manifest, tmp_path / "out")
     elif command == "sweep":
@@ -870,6 +909,70 @@ def test_at_each_synthesis_no_earlier_source_or_its_clips_holds_samples(
     # T, the distorted test and continual clips: more waveforms were made than sources
     assert len(made) > len(alive_at_synthesis)
     assert all(r() is None for r in made)  # and none holds samples after the command
+
+
+def _experiment_waveforms(data) -> list:
+    """Every waveform of ``data`` in the order the benchmark's ``corpus`` unit featurizes
+    them: S, T, the three test sets, the continual inputs, then their clean targets."""
+    sp = data.splits
+    waves = [c.waveform for part in (sp.S, sp.T, sp.test_clean, sp.test_seen, sp.test_unseen)
+             for c in part]
+    return waves + [c.waveform for c in data.continual_set] + [c.clean for c in data.continual_set]
+
+
+def test_an_unread_experiment_build_holds_no_samples():
+    """``build_experiment_data`` returns a plan: no clip makes its samples before they are
+    read, and reading its id, label, spec, kind, domain or repr makes none."""
+    corpus = ExperimentManifest.from_dict(dict(TINY_MANIFEST)).corpus
+    clip_bytes = distort.DEFAULT_SR * np.dtype(np.float64).itemsize  # one second of samples
+
+    def largest_block() -> int:  # numpy reports its array buffers to tracemalloc
+        return max(t.size for t in tracemalloc.take_snapshot().traces)
+
+    tracemalloc.start()
+    try:
+        data = build_experiment_data(corpus, 7, with_continual=True)
+        sp = data.splits
+        clips = [c for part in (sp.S, sp.T, sp.test_clean, sp.test_seen, sp.test_unseen,
+                                data.continual_set) for c in part]
+        read = [(c.clip_id, c.label, c.spec, c.kind, c.domain, repr(c)) for c in clips]
+        assert len(read) == len(clips) and "samples" not in repr(data)
+        assert largest_block() < clip_bytes
+        assert not any("samples" in vars(w) for w in _experiment_waveforms(data))
+        sp.T[0].waveform.samples  # the check sees a clip's samples once they are made
+        assert largest_block() >= clip_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_the_build_makes_each_source_and_each_distortion_once(monkeypatch):
+    synthesized, distorted = [], []  # (corpus id prefix, index) / id of each spec applied
+    real_synth, real_apply = distort.synth_tone, distort.apply_spec
+
+    def synth(corpus, idx):
+        synthesized.append((corpus.id_prefix, idx))
+        return real_synth(corpus, idx)
+
+    def apply(clean, spec, bank=None):
+        distorted.append(id(spec))
+        return real_apply(clean, spec, bank)
+
+    monkeypatch.setattr(distort, "synth_tone", synth)
+    monkeypatch.setattr(distort, "apply_spec", apply)
+    corpus = ExperimentManifest.from_dict(dict(TINY_MANIFEST)).corpus
+    data = build_experiment_data(corpus, 7, with_continual=True)
+    assert synthesized == distorted == []
+    for w in _experiment_waveforms(data):
+        distort.featurize(w)
+    c, sp = corpus, data.splits
+    assert sorted(synthesized) == sorted(
+        (prefix, i) for prefix, n in (("clip", c.n_per_class), ("test", c.test_n_per_class),
+                                      ("cont", c.continual_n_per_class))
+        for i in range(c.classes * n))
+    specs = [clip.spec for part in (sp.T, sp.test_seen, sp.test_unseen, data.continual_set)
+             for clip in part if clip.kind != "clean"]
+    assert "clean" in {clip.kind for clip in data.continual_set}
+    assert sorted(distorted) == sorted(id(spec) for spec in specs)
 
 
 # ---------------------------------------------------------------------------
