@@ -141,6 +141,8 @@ class CorpusSplit:
     test_seen: list[Clip]
     test_unseen: list[Clip]
     _target_labels: list[int] = field(repr=False, default_factory=list)  # T's, in order
+    # the test corpus and the (seen, unseen) specs of its clips, which with_test_sets makes
+    _test_plan: tuple = field(repr=False, default=((), ()))
 
     def oracle_labeled_target(self, purpose: str) -> list[Clip]:
         """Class labels of T, readable by the oracle training path only."""
@@ -163,8 +165,8 @@ def class_fundamental_hz(label: int) -> float:
 class ToneCorpus:
     """Balanced clean one-second tone-pair corpus, each clip synthesized (``synth_tone``) when
     its samples are first read: clip ``idx`` is a fundamental + 3rd harmonic of class
-    ``idx // n_per_class``.  The builders make every clip of one source before reading the
-    next, so one source's samples at most are alive at a time unless they keep samples."""
+    ``idx // n_per_class``.  ``keep_features`` reads every clip of one source before the
+    next, so one source's samples at most are alive at a time."""
 
     n_per_class: int
     classes: int
@@ -433,78 +435,73 @@ def _specs(kinds, seed: int, pool: str) -> list[DistortionSpec]:
     return [make_spec(kind, derive_seed(seed, i), pool) for i, kind in enumerate(kinds)]
 
 
-def make_clip(source: Clip, spec: DistortionSpec | None, bank=None,
-              keep_samples: bool = True) -> Clip:
+def make_clip(source: Clip, spec: DistortionSpec | None, bank=None) -> Clip:
     """The clip ``spec`` makes of ``source`` (``source`` itself for None or CLEAN), its id,
-    label and ``clean`` kept, which applies ``spec`` when its samples are first read.  Unless
-    ``keep_samples``, its waveform and ``clean`` input make their features now and keep only
-    those, and any later read of their samples raises ``AttributeError``."""
-    clip, clean = source, source.waveform
-    if spec is not None:
-        clip = replace(source, spec=spec, waveform=clean if spec.kind == CLEAN else
-                       Waveform(recipe=lambda: apply_spec(clean, spec, bank)))
-    if not keep_samples:
+    label and ``clean`` kept, which applies ``spec`` when its samples are first read."""
+    if spec is None:
+        return source
+    clean = source.waveform
+    return replace(source, spec=spec, waveform=clean if spec.kind == CLEAN else
+                   Waveform(recipe=lambda: apply_spec(clean, spec, bank)))
+
+
+def keep_features(clips):
+    """Make the features of each clip's waveform and ``clean`` input, in the order given,
+    and drop their samples: a later read of them raises ``AttributeError``.  A source's
+    distorted clips read its waveform, so they must come before the source's own clip."""
+    for clip in clips:
         for w in (clip.waveform, clip.clean):
             if w is not None:
                 w.features
                 w.__dict__.pop("samples", None)  # a clean continual clip is its own input
-    return clip
 
 
-def _split_draws(n_train: int, n_test: int, seed: int):
-    """The split's draws, in their one order: the permutation of the training corpus,
-    T's kinds, then the seen and unseen test kinds, all from one rng."""
-    rng = np.random.default_rng(derive_seed(seed, 0))
-    perm = rng.permutation(n_train)
-    t_kinds = assign_kinds(n_train // 2, TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
-    seen_kinds = assign_kinds(n_test, TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
-    unseen_kinds = assign_kinds(n_test, (ADDITIVE_BANK, REVERB), (0.7, 0.3), rng)
-    return perm, t_kinds, seen_kinds, unseen_kinds
-
-
-def build_splits(corpus, seed: int, noise_bank=None, keep_samples: bool = True) -> CorpusSplit:
+def build_splits(corpus, test_corpus, seed: int, noise_bank=None) -> CorpusSplit:
     """50/50 clean/noisy split of the training corpus, the clip left over from an odd-sized
-    one in S, with empty test sets: ``with_test_sets`` adds them."""
-    n = len(corpus)
+    one in S, with empty test sets: ``with_test_sets`` makes them of ``test_corpus``.  Every
+    draw is made here, in one order from one rng: the permutation of the training corpus,
+    T's kinds, then the seen and unseen test kinds."""
+    n, n_test = len(corpus), len(test_corpus)
     if n < MIN_SPLIT_CLIPS:
         raise ValueError(f"corpus too small to split ({n} < {MIN_SPLIT_CLIPS})")
-    perm, kinds, _, _ = _split_draws(n, 0, seed)
+    rng = np.random.default_rng(derive_seed(seed, 0))
+    perm = rng.permutation(n)
+    kinds = assign_kinds(n // 2, TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
+    seen = assign_kinds(n_test, TRAIN_KINDS, TRAIN_PROPORTIONS, rng)
+    unseen = assign_kinds(n_test, (ADDITIVE_BANK, REVERB), (0.7, 0.3), rng)
     t_specs = dict(zip(perm[n // 2 : 2 * (n // 2)].tolist(),
                        _specs(kinds, derive_seed(seed, 1), "train")))
-    split = CorpusSplit([], [], [], [], [])
+    test_specs = list(zip(_specs(seen, derive_seed(seed, 2), "train"),
+                          _specs(unseen, derive_seed(seed, 3), "unseen")))
+    split = CorpusSplit([], [], [], [], [], _test_plan=(test_corpus, test_specs))
     for idx in perm.tolist():  # S's and T's clips in the permutation's order
         clip, spec = corpus[idx], t_specs.get(idx)
         if spec is not None:
             split._target_labels.append(clip.label)
             clip = replace(clip, label=None)
-        clip = make_clip(clip, spec, noise_bank, keep_samples)  # drops a T clip's source
-        (split.S if spec is None else split.T).append(clip)
+        (split.S if spec is None else split.T).append(make_clip(clip, spec, noise_bank))
     return split
 
 
-def with_test_sets(split: CorpusSplit, test_corpus, seed: int, noise_bank=None,
-                   keep_samples: bool = True) -> CorpusSplit:
-    """``split`` with the three test sets of ``test_corpus``, drawn after the draws
-    ``build_splits`` made for ``split`` with the same ``seed``: each source clip is
-    ``test_clean``'s, and gives one ``test_seen`` and one ``test_unseen`` clip."""
-    _, _, seen, unseen = _split_draws(len(split.S) + len(split.T), len(test_corpus), seed)
-    specs = zip(_specs(seen, derive_seed(seed, 2), "train"),
-                _specs(unseen, derive_seed(seed, 3), "unseen"))
-    sets = ([], [], [])  # seen, unseen, clean: the clean clip last, as it may free the samples
-    for pair, source in zip(specs, test_corpus):
+def with_test_sets(split: CorpusSplit, noise_bank=None) -> CorpusSplit:
+    """``split`` with the three test sets of the test corpus ``build_splits`` drew their specs
+    for: each source clip is ``test_clean``'s, and gives one ``test_seen`` and one
+    ``test_unseen`` clip."""
+    sources, specs = split._test_plan
+    sets = ([], [], [])  # seen, unseen, clean
+    for pair, source in zip(specs, sources):  # specs first, so no source past the last is read
         for part, spec in zip(sets, (*pair, None)):
-            part.append(make_clip(source, spec, noise_bank, keep_samples))
+            part.append(make_clip(source, spec, noise_bank))
     return replace(split, test_seen=sets[0], test_unseen=sets[1], test_clean=sets[2])
 
 
-def build_continual_set(corpus, seed: int, noise_bank=None,
-                        keep_samples: bool = True) -> list[Clip]:
+def build_continual_set(corpus, seed: int, noise_bank=None) -> list[Clip]:
     """Unlabeled continual-training set of ``corpus``'s clips: distortion kinds + clean in
     0.25 proportions each, each clip's undistorted input kept as its ``clean`` target."""
     rng = np.random.default_rng(derive_seed(seed, 0))
     kinds = assign_kinds(len(corpus), CONTINUAL_KINDS, CONTINUAL_PROPORTIONS, rng)
     return [make_clip(Clip(f"cont-{i:05d}", source.waveform, None, clean=source.waveform),
-                      make_spec(kind, derive_seed(seed, 1, i)), noise_bank, keep_samples)
+                      make_spec(kind, derive_seed(seed, 1, i)), noise_bank)
             for i, (kind, source) in enumerate(zip(kinds, corpus))]
 
 

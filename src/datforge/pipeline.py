@@ -21,6 +21,7 @@ from .distort import (
     build_continual_set,
     build_splits,
     derive_seed,
+    keep_features,
     manifest_entries,
     with_test_sets,
     write_manifest,
@@ -257,35 +258,28 @@ class ExperimentData:
     continual_set: list
 
 
-def build_training_data(corpus: CorpusSpec, splits_seed: int, with_continual: bool,
-                        keep_samples: bool) -> ExperimentData:
+def build_training_data(corpus: CorpusSpec, splits_seed: int,
+                        with_continual: bool) -> ExperimentData:
     """S, T and the continual set: what training reads, distorted with ``corpus.noise_bank``,
-    each clip making its samples at first read if ``keep_samples``, else now, keeping only
-    its features.  The splits' test sets are empty; ``add_test_sets`` builds them."""
-    splits = build_splits(ToneCorpus(corpus.n_per_class, corpus.classes, corpus.seed),
-                          splits_seed, corpus.noise_bank, keep_samples)
+    each clip making its samples at first read.  The splits' test sets are empty;
+    ``with_test_sets`` makes them of the test corpus the splits record."""
+    tests = ToneCorpus(corpus.test_n_per_class, corpus.classes, derive_seed(corpus.seed, 101),
+                       "test")
+    splits = build_splits(ToneCorpus(corpus.n_per_class, corpus.classes, corpus.seed), tests,
+                          splits_seed, corpus.noise_bank)
     sources = ToneCorpus(corpus.continual_n_per_class, corpus.classes,
                          derive_seed(corpus.seed, 202), "cont")
-    continual = build_continual_set(sources, derive_seed(splits_seed, 7), corpus.noise_bank,
-                                    keep_samples) if with_continual else []
+    continual = build_continual_set(sources, derive_seed(splits_seed, 7),
+                                    corpus.noise_bank) if with_continual else []
     return ExperimentData(splits, continual)
-
-
-def add_test_sets(splits: CorpusSplit, corpus: CorpusSpec, splits_seed: int,
-                  keep_samples: bool) -> CorpusSplit:
-    """``splits`` with the clean, seen-distortion and unseen-distortion test sets, the
-    distorted ones drawn from ``corpus.noise_bank``, kept as ``build_training_data`` keeps."""
-    sources = ToneCorpus(corpus.test_n_per_class, corpus.classes,
-                         derive_seed(corpus.seed, 101), "test")
-    return with_test_sets(splits, sources, splits_seed, corpus.noise_bank, keep_samples)
 
 
 def build_experiment_data(corpus: CorpusSpec, splits_seed: int,
                           with_continual: bool = True) -> ExperimentData:
-    """``build_training_data`` then ``add_test_sets``, every clip making its samples at first
-    read and keeping them after; only the tests and perfbench call it."""
-    data = build_training_data(corpus, splits_seed, with_continual, keep_samples=True)
-    data.splits = add_test_sets(data.splits, corpus, splits_seed, keep_samples=True)
+    """``build_training_data`` with the splits' test sets, every clip making its samples at
+    first read and keeping them after; only the tests and perfbench call it."""
+    data = build_training_data(corpus, splits_seed, with_continual)
+    data.splits = with_test_sets(data.splits, corpus.noise_bank)
     return data
 
 
@@ -381,17 +375,18 @@ def train_stages(manifest: ExperimentManifest, specs: list[StageSpec],
     """Train ``specs`` on the manifest's corpus in up to ``jobs`` workers; return their results
     in the order of ``specs``, and the splits with their test sets.
 
-    Every clip keeps only its features: the training clips are built before the workers
-    fork, the test sets after training, once the continual set, which only pretraining
-    reads, is freed.  So no worker inherits a sample or a test clip.  Each ``stage_groups``
-    group is one ``parallel_map`` item that pretrains in its worker while the other groups
-    train.  When all of ``specs`` make one continual group, nothing could train beside its
-    pretraining: this process pretrains once, lets go of the continual set, and each spec
-    becomes an item of its own.
+    Every clip keeps only its features (``keep_features``): the training clips' are made
+    before the workers fork, the test sets' after training, once the continual set, which
+    only pretraining reads, is freed.  So no worker inherits a sample or a test clip.  Each
+    ``stage_groups`` group is one ``parallel_map`` item that pretrains in its worker while
+    the other groups train.  When all of ``specs`` make one continual group, nothing could
+    train beside its pretraining: this process pretrains once, lets go of the continual
+    set, and each spec becomes an item of its own.
     """
     corpus = manifest.corpus
     data = build_training_data(corpus, manifest.splits_seed,
-                               any(s.stage in CONTINUAL_STAGES for s in specs), keep_samples=False)
+                               any(s.stage in CONTINUAL_STAGES for s in specs))
+    keep_features([*data.splits.S, *data.splits.T, *data.continual_set])
     groups, pretrained = stage_groups(specs), None
     if len(groups) == 1 and specs[0].stage in CONTINUAL_STAGES:
         first = specs[0]
@@ -404,7 +399,9 @@ def train_stages(manifest: ExperimentManifest, specs: list[StageSpec],
                            jobs)
     splits = data.splits
     del data  # the last reference to the continual set, freed before the test sets
-    splits = add_test_sets(splits, corpus, manifest.splits_seed, keep_samples=False)
+    splits = with_test_sets(splits, corpus.noise_bank)
+    keep_features(c for trio in zip(splits.test_seen, splits.test_unseen, splits.test_clean)
+                  for c in trio)  # each source's distorted clips before its own
     by_spec = {id(s): res for g, results in zip(groups, trained) for s, res in zip(g, results)}
     return [by_spec[id(s)] for s in specs], splits
 
@@ -517,8 +514,8 @@ def run_probe(manifest: ExperimentManifest, out_dir: Path) -> list[dict]:
     """Probe each stage's checkpoint in the finished run of ``manifest`` in ``out_dir``."""
     out_dir = Path(out_dir)
     require_finished_run(manifest, out_dir)
-    data = build_training_data(manifest.corpus, manifest.splits_seed, with_continual=False,
-                               keep_samples=False)
+    data = build_training_data(manifest.corpus, manifest.splits_seed, with_continual=False)
+    keep_features([*data.splits.S, *data.splits.T])
     probe_cfg = ProbeConfig(seed=manifest.seed)
     rows = []
     for spec in manifest.stages:

@@ -52,7 +52,7 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def small_splits(small_corpus):
     test = synth_corpus(3, 4, seed=12, id_prefix="test")
-    return with_test_sets(build_splits(small_corpus, seed=5), test, seed=5)
+    return with_test_sets(build_splits(small_corpus, test, seed=5))
 
 
 def sha256_of(path) -> str:

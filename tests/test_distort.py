@@ -38,6 +38,7 @@ from datforge.distort import (
     class_fundamental_hz,
     derive_seed,
     featurize,
+    keep_features,
     largest_remainder_counts,
     make_impulse_response,
     make_spec,
@@ -266,7 +267,7 @@ class TestWavNoiseBank:
         bank = WavNoiseBank(noise_dir)
         corpus = synth_corpus(3, 4, seed=11)
         test = synth_corpus(2, 4, seed=12, id_prefix="test")
-        split = with_test_sets(build_splits(corpus, 5, bank), test, 5, bank)
+        split = with_test_sets(build_splits(corpus, test, 5, bank), bank)
         cont = build_continual_set(corpus, 3, bank)
         sources = {c.clip_id: c.waveform for c in corpus + test}
         for clips in (split.T, split.test_seen, split.test_unseen):
@@ -326,7 +327,7 @@ class TestBuildSplits:
     def test_every_clip_lands_in_s_or_t(self, classes, n_per_class):
         assume(classes * n_per_class >= MIN_SPLIT_CLIPS)
         corpus = synth_corpus(n_per_class, classes, seed=1)
-        split = build_splits(corpus, seed=7)
+        split = build_splits(corpus, [], seed=7)
         s_ids, t_ids = {c.clip_id for c in split.S}, {c.clip_id for c in split.T}
         assert not (s_ids & t_ids)
         assert s_ids | t_ids == {c.clip_id for c in corpus}
@@ -392,15 +393,15 @@ class TestBuildSplits:
         assert changed == len(small_splits.test_unseen)
 
     def test_deterministic_given_seed(self, small_corpus):
-        a = build_splits(small_corpus, seed=5)
-        b = build_splits(small_corpus, seed=5)
+        a = build_splits(small_corpus, [], seed=5)
+        b = build_splits(small_corpus, [], seed=5)
         assert [c.clip_id for c in a.T] == [c.clip_id for c in b.T]
         for x, y in zip(a.T, b.T):
             assert np.array_equal(x.waveform.samples, y.waveform.samples)
 
     def test_tiny_corpus_rejected(self):
         with pytest.raises(ValueError, match="too small"):
-            build_splits(synth_corpus(1, 2, seed=0), seed=0)
+            build_splits(synth_corpus(1, 2, seed=0), [], seed=0)
 
 
 class TestContinualSet:
@@ -484,7 +485,8 @@ class TestFeaturize:
         corpus = synth_corpus(2, 2, seed=20)
         cont = build_continual_set(corpus, seed=3)
         feats = [(featurize(c.waveform), featurize(c.clean)) for c in cont]
-        cont = build_continual_set(corpus, seed=3, keep_samples=False)
+        cont = build_continual_set(corpus, seed=3)
+        keep_features(cont)
         assert CLEAN in {c.kind for c in cont}  # a clean continual clip is its own input
         noise = np.ones(16000)
         for c, pair in zip(cont, feats):

@@ -749,18 +749,19 @@ def _logged_calls(log: Path) -> list[tuple[int, int]]:
 
 
 def _keep_made(monkeypatch, hook=None) -> list:
-    """Every clip the corpus builders make (``distort.make_clip``), kept alive in the list
-    returned, in build order; ``hook(clip)`` first sees each while it still has its samples."""
-    made, real = [], distort.make_clip
+    """Every clip the commands read the features of (``pipeline.keep_features``), kept alive
+    in the list returned, in read order; ``hook(clip)`` first sees each while it still has
+    its samples."""
+    made, real = [], pipeline.keep_features
 
-    def keeping(source, spec, bank=None, keep_samples=True):
-        clip = real(source, spec, bank)
-        if hook is not None:
-            hook(clip)
-        made.append(real(clip, None, bank, keep_samples))  # the same clip, made final
-        return made[-1]
+    def keeping(clips):
+        for clip in clips:
+            if hook is not None:
+                hook(clip)
+            real([clip])
+            made.append(clip)
 
-    monkeypatch.setattr(distort, "make_clip", keeping)
+    monkeypatch.setattr(pipeline, "keep_features", keeping)
     return made
 
 
@@ -1074,10 +1075,10 @@ def test_run_data_parts_compose_to_the_experiment_data(tmp_path, classes, n_per_
         return {**{name: getattr(splits, name) for name in names}, "continual": data.continual_set,
                 "oracle": splits.oracle_labeled_target("oracle")}  # T with its hidden labels
 
-    def built(keep_samples):
-        data = pipeline.build_training_data(corpus, 7, True, keep_samples)
+    def built():
+        data = pipeline.build_training_data(corpus, 7, True)
         assert data.splits.test_clean == data.splits.test_seen == data.splits.test_unseen == []
-        return parts(data, pipeline.add_test_sets(data.splits, corpus, 7, keep_samples))
+        return parts(data, distort.with_test_sets(data.splits, corpus.noise_bank))
 
     def clips(part):
         return [(c.clip_id, c.label, c.spec, c.waveform.samples.tobytes(), c.waveform.gain_applied,
@@ -1091,11 +1092,16 @@ def test_run_data_parts_compose_to_the_experiment_data(tmp_path, classes, n_per_
 
     reference = parts(whole, whole.splits)
     assert "additive_bank" in {c.kind for c in whole.continual_set + whole.splits.T}
-    for name, part in built(keep_samples=True).items():
+    for name, part in built().items():
         assert clips(part) == clips(reference[name]), name
-    # the fast path: each clip carries only its features, with the id, label, spec and gain
-    # of its sample-carrying twin, and features equal to featurize of the twin
-    for name, part in built(keep_samples=False).items():
+    # the features pass, in the order run reads the parts: each clip carries only its
+    # features, with the id, label, spec and gain of its sample-carrying twin, and features
+    # equal to featurize of the twin
+    fast = built()
+    distort.keep_features([*fast["S"], *fast["T"], *fast["continual"]])
+    distort.keep_features(c for trio in zip(fast["test_seen"], fast["test_unseen"],
+                                            fast["test_clean"]) for c in trio)
+    for name, part in fast.items():
         assert recipe(part) == recipe(reference[name]), name
         for c, twin in zip(part, reference[name]):
             for w, tw in zip(waves(c), waves(twin)):

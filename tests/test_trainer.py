@@ -286,8 +286,8 @@ def nan_features(monkeypatch):
     real = distort.featurize
     monkeypatch.setattr(distort, "featurize", lambda w: np.full_like(real(w), np.nan))
     corpus = synth_corpus(10, 4, seed=11)
-    splits = with_test_sets(build_splits(corpus, seed=5),
-                            synth_corpus(3, 4, seed=12, id_prefix="test"), seed=5)
+    splits = with_test_sets(build_splits(corpus, synth_corpus(3, 4, seed=12, id_prefix="test"),
+                                         seed=5))
     return splits, build_continual_set(corpus[:8], seed=2)
 
 
