@@ -141,8 +141,7 @@ class CorpusSplit:
     test_seen: list[Clip]
     test_unseen: list[Clip]
     _target_labels: list[int] = field(repr=False, default_factory=list)  # T's, in order
-    # the test corpus and the (seen, unseen) specs of its clips, which with_test_sets makes
-    _test_plan: tuple = field(repr=False, default=((), ()))
+    _test_plan: tuple = field(repr=False, default=((), ()))  # test corpus, (seen, unseen) specs
 
     def oracle_labeled_target(self, purpose: str) -> list[Clip]:
         """Class labels of T, readable by the oracle training path only."""
@@ -458,9 +457,8 @@ def keep_features(clips):
 
 def build_splits(corpus, test_corpus, seed: int, noise_bank=None) -> CorpusSplit:
     """50/50 clean/noisy split of the training corpus, the clip left over from an odd-sized
-    one in S, with empty test sets: ``with_test_sets`` makes them of ``test_corpus``.  Every
-    draw is made here, in one order from one rng: the permutation of the training corpus,
-    T's kinds, then the seen and unseen test kinds."""
+    one in S, with empty test sets: ``with_test_sets`` makes those of ``test_corpus``.  All
+    draws come from one rng: the permutation, T's kinds, then the seen and unseen test kinds."""
     n, n_test = len(corpus), len(test_corpus)
     if n < MIN_SPLIT_CLIPS:
         raise ValueError(f"corpus too small to split ({n} < {MIN_SPLIT_CLIPS})")
@@ -484,9 +482,8 @@ def build_splits(corpus, test_corpus, seed: int, noise_bank=None) -> CorpusSplit
 
 
 def with_test_sets(split: CorpusSplit, noise_bank=None) -> CorpusSplit:
-    """``split`` with the three test sets of the test corpus ``build_splits`` drew their specs
-    for: each source clip is ``test_clean``'s, and gives one ``test_seen`` and one
-    ``test_unseen`` clip."""
+    """``split`` with the three test sets of the test corpus ``build_splits`` drew specs for:
+    each source clip is ``test_clean``'s, and gives one ``test_seen`` and one ``test_unseen``."""
     sources, specs = split._test_plan
     sets = ([], [], [])  # seen, unseen, clean
     for pair, source in zip(specs, sources):  # specs first, so no source past the last is read
@@ -569,8 +566,9 @@ def read_wav(path) -> Waveform:
     its header gives, is a ``FormatError``."""
     try:
         f = _wave.open(str(path), "rb")
-    except (_wave.Error, EOFError) as exc:
-        raise FormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
+    except (_wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk past the end
+        raise FormatError(f"{path}: not a readable RIFF/WAVE file "
+                          f"({exc or 'a chunk runs past the end of the file'})") from exc
     with f:
         if f.getnchannels() != 1:
             raise FormatError(f"{path}: nchannels={f.getnchannels()}, expected mono")

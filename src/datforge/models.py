@@ -6,7 +6,9 @@ over time; both heads are a ``Head``, one linear layer on the pooled features.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -168,30 +170,35 @@ def save_checkpoint(path, params: list[Parameter]):
 
 
 def load_checkpoint(path) -> list[tuple[str, str, np.ndarray]]:
-    """The (name, group, value) entries of a ``save_checkpoint`` file; any line that does
-    not parse is a ``FormatError`` naming ``path``."""
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        if header != CKPT_HEADER:
-            raise FormatError(f"{path}: bad checkpoint header {header!r}, "
-                              f"expected {CKPT_HEADER!r}")
-        entries = []
-        while True:
-            meta = f.readline()
-            if not meta:
-                break
-            parts = meta.split()
-            if len(parts) < 3 or parts[0] != "param":
-                raise FormatError(f"{path}: bad checkpoint entry line: {meta!r}")
-            name, group = parts[1], parts[2]
-            if any(name == seen for seen, _group, _value in entries):
-                raise FormatError(f"{path}: parameter {name!r} appears twice")
-            try:
-                shape = tuple(int(s) for s in parts[3:])
-                values = np.array([float.fromhex(v) for v in f.readline().split()])
-                if values.size != int(np.prod(shape)):
-                    raise ValueError(f"{values.size} values for shape {shape}")
-                entries.append((name, group, values.reshape(shape)))
-            except ValueError as exc:
-                raise FormatError(f"{path}: parameter {name!r} does not parse: {exc}") from exc
+    """The (name, group, value) entries of a ``save_checkpoint`` file; a file that is not
+    UTF-8, or any line that does not parse or holds a non-finite value, is a ``FormatError``
+    naming ``path``."""
+    try:
+        f = io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: checkpoint is not UTF-8 text ({exc})") from exc
+    header = f.readline().rstrip("\n")
+    if header != CKPT_HEADER:
+        raise FormatError(f"{path}: bad checkpoint header {header!r}, expected {CKPT_HEADER!r}")
+    entries = []
+    while True:
+        meta = f.readline()
+        if not meta:
+            break
+        parts = meta.split()
+        if len(parts) < 3 or parts[0] != "param":
+            raise FormatError(f"{path}: bad checkpoint entry line: {meta!r}")
+        name, group = parts[1], parts[2]
+        if any(name == seen for seen, _group, _value in entries):
+            raise FormatError(f"{path}: parameter {name!r} appears twice")
+        try:
+            shape = tuple(int(s) for s in parts[3:])
+            values = np.array([float.fromhex(v) for v in f.readline().split()])
+            if values.size != int(np.prod(shape)):
+                raise ValueError(f"{values.size} values for shape {shape}")
+            if not np.all(np.isfinite(values)):  # run stops at a non-finite loss, saving none
+                raise ValueError("a value is not finite")
+            entries.append((name, group, values.reshape(shape)))
+        except (ValueError, OverflowError) as exc:  # OverflowError: a hex float past float64
+            raise FormatError(f"{path}: parameter {name!r} does not parse: {exc}") from exc
     return entries

@@ -215,12 +215,13 @@ class ExperimentManifest:
         if not path.is_file():
             raise ConfigError(f"manifest file not found: {path}")
         try:
-            obj = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            obj = json.loads(path.read_bytes())
+        except ValueError as exc:  # bytes that are not UTF-8 included
             raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ConfigError(f"manifest {path} must hold a JSON object")
-        return cls.from_dict(obj)
+        try:
+            return cls.from_dict(obj)
+        except ConfigError as exc:
+            raise ConfigError(f"manifest {path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         """The manifest as ``from_dict`` reads it, so ``from_dict(m.to_dict()) == m``."""

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 import time
 import wave
 from pathlib import Path
@@ -15,6 +16,33 @@ PROBED_STAGES = ("baseline", "dat_only")
 # noise a draw for a one-second clip finds silent: zero throughout, or zero for its first second
 SILENT_NOISE = {"all-zero": np.zeros(1600),
                 "first-second-zero": np.r_[np.zeros(DEFAULT_SR), 0.1 * np.ones(DEFAULT_SR)]}
+
+
+# mutate() ops that make a valid datforge WAV declare a chunk running past the file's end:
+# its 16-byte fmt chunk declaring 10^6 bytes, or a 10^6-byte LIST chunk before its data chunk
+WAV_CHUNKS_PAST_THE_END = {"fmt-1e6": [("put", 16, struct.pack("<I", 10**6))],
+                           "LIST-1e6": [("insert", 36, b"LIST" + struct.pack("<I", 10**6))]}
+
+
+def mutate(data: bytes, ops) -> bytes:
+    """``data`` with each of ``ops`` applied in turn: ``("cut", i)`` keeps the first i bytes,
+    ``("put", i, b)`` writes b over the bytes from i, ``("insert", i, b)`` inserts b at i,
+    each i taken modulo ``len(data) + 1``, and ``("shuffle", s)`` permutes the lines by
+    ``default_rng(s)``."""
+    for op, *args in ops:
+        if op == "shuffle":
+            lines = data.split(b"\n")
+            order = np.random.default_rng(args[0]).permutation(len(lines))
+            data = b"\n".join(lines[i] for i in order)
+            continue
+        i = args[0] % (len(data) + 1)
+        if op == "cut":
+            data = data[:i]
+        elif op == "put":
+            data = data[:i] + args[1] + data[i + len(args[1]):]
+        else:
+            data = data[:i] + args[1] + data[i:]
+    return data
 
 
 def finite_diff(f, x, eps=1e-6):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SILENT_NOISE
+from conftest import SILENT_NOISE, WAV_CHUNKS_PAST_THE_END, mutate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -439,6 +439,18 @@ class TestRunCommand:
         assert "noise WAV unusable" in (err := capsys.readouterr().err) and "n3.wav" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("chunk", WAV_CHUNKS_PAST_THE_END)
+    def test_noise_wav_with_a_chunk_past_its_end_is_config_error_in_a_dry_run(self, tmp_path,
+                                                                             capsys, chunk):
+        noise = _noise_dir(tmp_path)
+        wav = noise / "n3.wav"
+        wav.write_bytes(mutate(wav.read_bytes(), WAV_CHUNKS_PAST_THE_END[chunk]))
+        path = _write_manifest(tmp_path, corpus=dict(TINY_MANIFEST["corpus"],
+                                                     noise_wav_dir=str(noise)))
+        assert main(["run", "--manifest", str(path), "--dry-run"]) == EXIT_CONFIG
+        assert f"noise WAV unusable: {wav}: not a readable RIFF/WAVE file" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "sweep", "probe"])
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
     @pytest.mark.parametrize("state", ["missing", "empty"])
@@ -797,6 +809,17 @@ class TestDistortCommand:
         out = tmp_path / "d"
         assert main(["distort", str(wav_dir), str(out)]) == EXIT_OK
         assert "skipping broken.wav" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chunk", WAV_CHUNKS_PAST_THE_END)
+    def test_wav_with_a_chunk_past_its_end_skipped_with_warning(self, wav_dir, tmp_path, capsys,
+                                                               chunk):
+        wav = sorted(wav_dir.glob("*.wav"))[0]
+        wav.write_bytes(mutate(wav.read_bytes(), WAV_CHUNKS_PAST_THE_END[chunk]))
+        out = tmp_path / "d"
+        assert main(["distort", str(wav_dir), str(out)]) == EXIT_OK
+        assert f"skipping {wav.name}: {wav}: not a readable" in capsys.readouterr().err
+        ids = [json.loads(l)["id"] for l in (out / "manifest.jsonl").read_text().splitlines()]
+        assert len(ids) == 3 and wav.stem not in ids
 
     def test_all_bad_inputs_exit_runtime(self, tmp_path, capsys):
         d = tmp_path / "bad"
